@@ -9,8 +9,8 @@ from typing import Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import DataError
-from .gateway import ChatBackend, classify
-from .parsing import ParsedPrediction
+# classify stays importable here: perfbench/tracing.py wraps it by this name.
+from .gateway import ChatBackend, Steps, classify, classify_steps, drive
 from .prompting import (Example, PromptBundle, Variant, render_cot,
                         render_cot_few_shot, render_zero_shot)
 from .templates import DEFAULT_TEMPLATES, TemplateSet
@@ -119,9 +119,9 @@ class DisagreementReport:
         }
 
 
-def _step(role: str, bundle: PromptBundle, backend: ChatBackend,
-          repair_policy: str) -> tuple[AgentStep, ParsedPrediction]:
-    outcome = classify(backend, bundle, repair_policy)
+def _agent_step(role: str, bundle: PromptBundle, repair_policy: str) -> Steps:
+    """Steps of one agent; returns (AgentStep, ParsedPrediction)."""
+    outcome = yield from classify_steps(bundle, repair_policy)
     if outcome.prediction is None:
         raise OrchestrationFailure(bundle.sentence_id, role, outcome.failure or "unparseable")
     pred = outcome.prediction
@@ -135,19 +135,18 @@ def _step(role: str, bundle: PromptBundle, backend: ChatBackend,
                      raw_digest=raw_digest, label=pred.label), pred
 
 
-def run_majority_vote(sentence: Sentence, backend: ChatBackend,
-                      templates: TemplateSet = DEFAULT_TEMPLATES,
-                      repair_policy: str = "LENIENT") -> AgentTrace:
-    """Two zero-shot-style votes; a third agent breaks ties."""
-    step1, pred1 = _step(PREDICTOR, render_zero_shot(sentence, templates),
-                         backend, repair_policy)
+def majority_vote_steps(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES,
+                        repair_policy: str = "LENIENT") -> Steps:
+    """Step generator for run_majority_vote(); returns the AgentTrace."""
+    step1, pred1 = yield from _agent_step(
+        PREDICTOR, render_zero_shot(sentence, templates), repair_policy)
     second_bundle = PromptBundle(
         variant=Variant.MULTI_AGENT,
         system=templates.render("vote_second.system"),
         user=templates.render("vote_second.user", sentence=sentence.text,
                               first_label=pred1.label),
         expected_schema="SIMPLE", sentence_id=sentence.id)
-    step2, pred2 = _step(SECOND, second_bundle, backend, repair_policy)
+    step2, pred2 = yield from _agent_step(SECOND, second_bundle, repair_policy)
     if pred1.label == pred2.label:
         return AgentTrace(sentence_id=sentence.id, steps=[step1, step2],
                           final_label=pred1.label, resolution=AGREEMENT)
@@ -157,20 +156,26 @@ def run_majority_vote(sentence: Sentence, backend: ChatBackend,
         user=templates.render("vote_tiebreak.user", sentence=sentence.text,
                               first_label=pred1.label, second_label=pred2.label),
         expected_schema="SIMPLE", sentence_id=sentence.id)
-    step3, pred3 = _step(JUDGE, tiebreak_bundle, backend, repair_policy)
+    step3, pred3 = yield from _agent_step(JUDGE, tiebreak_bundle, repair_policy)
     return AgentTrace(sentence_id=sentence.id, steps=[step1, step2, step3],
                       final_label=pred3.label, resolution=TIEBREAK)
 
 
-def run_predictor_critic_judge(
+def run_majority_vote(sentence: Sentence, backend: ChatBackend,
+                      templates: TemplateSet = DEFAULT_TEMPLATES,
+                      repair_policy: str = "LENIENT") -> AgentTrace:
+    """Two zero-shot-style votes; a third agent breaks ties."""
+    return drive(majority_vote_steps(sentence, templates, repair_policy), backend.complete)
+
+
+def predictor_critic_judge_steps(
     sentence: Sentence,
-    backend: ChatBackend,
     predictor_variant: Variant = Variant.COT,
     examples: Sequence[Example] | None = None,
     templates: TemplateSet = DEFAULT_TEMPLATES,
     repair_policy: str = "LENIENT",
-) -> AgentTrace:
-    """CoT predictor, critic review, judge only on disagreement."""
+) -> Steps:
+    """Step generator for run_predictor_critic_judge(); returns the AgentTrace."""
     if predictor_variant == Variant.COT_FEW_SHOT_ERROR:
         if not examples:
             raise DataError("predictor variant requires reasoned examples")
@@ -180,7 +185,7 @@ def run_predictor_critic_judge(
     else:
         raise DataError(f"unsupported predictor variant: {predictor_variant}")
 
-    step_p, pred = _step(PREDICTOR, predictor_bundle, backend, repair_policy)
+    step_p, pred = yield from _agent_step(PREDICTOR, predictor_bundle, repair_policy)
 
     critic_bundle = PromptBundle(
         variant=Variant.COT_MULTI_AGENT,
@@ -189,7 +194,7 @@ def run_predictor_critic_judge(
                               step1=pred.step1, step2=pred.step2,
                               predictor_label=pred.label),
         expected_schema="CRITIC", sentence_id=sentence.id)
-    step_c, critic = _step(CRITIC, critic_bundle, backend, repair_policy)
+    step_c, critic = yield from _agent_step(CRITIC, critic_bundle, repair_policy)
 
     assessment = critic.extra.get("assessment")
     if assessment == "sound" and critic.label != pred.label:
@@ -217,9 +222,22 @@ def run_predictor_critic_judge(
                               issues=critic.extra.get("issues", ""),
                               critic_label=critic.label),
         expected_schema="JUDGE", sentence_id=sentence.id)
-    step_j, judge = _step(JUDGE, judge_bundle, backend, repair_policy)
+    step_j, judge = yield from _agent_step(JUDGE, judge_bundle, repair_policy)
     return AgentTrace(sentence_id=sentence.id, steps=[step_p, step_c, step_j],
                       final_label=judge.label, resolution=JUDGE_DECIDED)
+
+
+def run_predictor_critic_judge(
+    sentence: Sentence,
+    backend: ChatBackend,
+    predictor_variant: Variant = Variant.COT,
+    examples: Sequence[Example] | None = None,
+    templates: TemplateSet = DEFAULT_TEMPLATES,
+    repair_policy: str = "LENIENT",
+) -> AgentTrace:
+    """CoT predictor, critic review, judge only on disagreement."""
+    return drive(predictor_critic_judge_steps(sentence, predictor_variant, examples,
+                                              templates, repair_policy), backend.complete)
 
 
 def analyze_disagreements(traces: Sequence[AgentTrace], corpus: Corpus) -> DisagreementReport:

@@ -15,7 +15,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 from .errors import ConfigError, SchemaError, TransportError
 from .parsing import ParsedPrediction, parse_prediction
@@ -153,6 +153,7 @@ class HttpTransport:
         self.config = config
         self.timeout = timeout
         self.calls = 0
+        self._lock = threading.Lock()
 
     def _auth_header(self) -> dict:
         if not self.config.auth_env:
@@ -176,7 +177,8 @@ class HttpTransport:
         }
         if self.config.decoding.response_format_hint:
             body["response_format"] = {"type": self.config.decoding.response_format_hint}
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
         try:
             resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
@@ -214,22 +216,29 @@ class MockRule:
 
 
 class ScriptedTransport:
-    """Deterministic transport for tests and offline pipeline runs."""
+    """Deterministic transport for tests and offline pipeline runs.
+
+    Safe to call from several threads: the call count and each rule's
+    fault queue change under one lock.
+    """
 
     def __init__(self, rules: Sequence[MockRule] = (), default: str | None = None):
         self.rules = list(rules)
         self.default = default
         self.calls = 0
+        self._lock = threading.Lock()
 
     def __call__(self, messages: Sequence[Message]) -> tuple[int, dict]:
-        self.calls += 1
         prompt_text = "\n".join(m["content"] for m in messages)
-        for rule in self.rules:
-            if rule.matches(prompt_text):
-                if rule.faults:
-                    raise _Transient(rule.faults.pop(0))
-                text = rule.response(messages) if callable(rule.response) else rule.response
-                return 200, _completion_body(text)
+        rule = next((r for r in self.rules if r.matches(prompt_text)), None)
+        with self._lock:
+            self.calls += 1
+            fault = rule.faults.pop(0) if rule is not None and rule.faults else None
+        if fault is not None:
+            raise _Transient(fault)
+        if rule is not None:
+            text = rule.response(messages) if callable(rule.response) else rule.response
+            return 200, _completion_body(text)
         if self.default is not None:
             return 200, _completion_body(self.default)
         raise TransportError("mock backend: no rule matches the prompt")
@@ -240,8 +249,24 @@ def _completion_body(text: str) -> dict:
             "usage": {"prompt_tokens": 0, "completion_tokens": 0}}
 
 
+#: A transport call slower than this is worth overlapping with other work:
+#: it is about the cost of handing a call to a thread and back.
+SLOW_CALL_S = 0.00025
+#: Transport calls the backend's slowness looks back over.
+RECENT_CALLS = 16
+_RECENT_MASK = (1 << RECENT_CALLS) - 1
+
+
 class ChatBackend:
-    """One configured backend with cache, retry, and admission control."""
+    """One configured backend with cache, retry, and admission control.
+
+    complete() may be called from several threads at once: max_in_flight
+    bounds the transport calls in flight and requests_per_minute their rate.
+    `slow` is true while most of the last RECENT_CALLS transport calls took
+    longer than SLOW_CALL_S (their median exceeds it), so neither one outlier
+    nor a cold first call sets it. The times are measured with perf_counter
+    and never recorded.
+    """
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None,
                  transport: Callable[[Sequence[Message]], tuple[int, dict]] | None = None,
@@ -256,6 +281,14 @@ class ChatBackend:
         self.clock = clock
         self._admission = threading.Semaphore(config.limits.max_in_flight)
         self._rate = _RateLimiter(config.limits.requests_per_minute, sleep)
+        self._recent = 0  # bit i: the (i+1)-th most recent transport call was slow
+        self._recent_lock = threading.Lock()
+        self.slow = False
+
+    def _note_call(self, seconds: float) -> None:
+        with self._recent_lock:
+            self._recent = (self._recent << 1 | (seconds > SLOW_CALL_S)) & _RECENT_MASK
+            self.slow = self._recent.bit_count() > RECENT_CALLS // 2
 
     def complete(self, messages: Sequence[Message]) -> CompletionResult:
         key = cache_key(self.config, messages)
@@ -274,13 +307,16 @@ class ChatBackend:
         for attempt in range(self.config.limits.retry_budget + 1):
             self._rate.admit()
             with self._admission:
+                sent = time.perf_counter()
                 try:
                     status, body = self.transport(messages)
                 except _Transient as exc:
+                    self._note_call(time.perf_counter() - sent)
                     last_error = exc
                     if attempt < self.config.limits.retry_budget:
                         self.sleep(self.backoff_base * (2 ** attempt))
                     continue
+                self._note_call(time.perf_counter() - sent)
             try:
                 text = body["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError) as exc:
@@ -303,6 +339,50 @@ class ClassifyOutcome:
     failure: str | None = None  # SCHEMA_FAILURE reason when prediction is None
 
 
+# Orchestration is written as step generators: a generator yields the
+# messages of each completion it needs and is sent the CompletionResult, or
+# yields a Gather of sub-generators and is sent their return values in
+# order; its return value is the result. drive() serves one with blocking
+# calls; dispatch.run_window() serves many with backend calls overlapped.
+Steps = Generator[object, object, object]
+
+
+class Gather:
+    """A step that runs several step generators; they may run concurrently."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps):
+        self.steps = list(steps)
+
+
+def drive(steps: Steps, complete: Callable[[Sequence[Message]], CompletionResult]):
+    """Run a step generator to its return value, serving each request with
+    one blocking call of complete (such as ChatBackend.complete)."""
+    value = None
+    try:
+        while True:
+            request = steps.send(value)
+            if type(request) is Gather:
+                value = [drive(sub, complete) for sub in request.steps]
+            else:
+                value = complete(request)
+    except StopIteration as stop:
+        return stop.value
+
+
+def classify_steps(bundle: PromptBundle, repair_policy: str = "LENIENT") -> Steps:
+    """Step generator for classify(); returns a ClassifyOutcome."""
+    completion = yield [{"role": "system", "content": bundle.system},
+                        {"role": "user", "content": bundle.user}]
+    try:
+        prediction = parse_prediction(completion.text, bundle.expected_schema, repair_policy)
+    except SchemaError as exc:
+        return ClassifyOutcome(prediction=None, completion=completion,
+                               failure=exc.reason)
+    return ClassifyOutcome(prediction=prediction, completion=completion)
+
+
 def classify(backend: ChatBackend, bundle: PromptBundle,
              repair_policy: str = "LENIENT") -> ClassifyOutcome:
     """Complete the bundle's messages and parse against its schema.
@@ -310,15 +390,7 @@ def classify(backend: ChatBackend, bundle: PromptBundle,
     Parse failures after a successful completion become structured
     SCHEMA_FAILURE outcomes; transport errors propagate.
     """
-    messages = [{"role": "system", "content": bundle.system},
-                {"role": "user", "content": bundle.user}]
-    completion = backend.complete(messages)
-    try:
-        prediction = parse_prediction(completion.text, bundle.expected_schema, repair_policy)
-    except SchemaError as exc:
-        return ClassifyOutcome(prediction=None, completion=completion,
-                               failure=exc.reason)
-    return ClassifyOutcome(prediction=prediction, completion=completion)
+    return drive(classify_steps(bundle, repair_policy), backend.complete)
 
 
 def mock_backend(rules: Sequence[MockRule] = (), default: str | None = None,

@@ -5,6 +5,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Corpus, Sentence
@@ -211,6 +212,21 @@ def render_reasoning_prompt(example: Example, templates: TemplateSet = DEFAULT_T
     )
 
 
+def example_reasoning_steps(example: Example, templates: TemplateSet = DEFAULT_TEMPLATES,
+                            repair_policy: str = "LENIENT"):
+    """Step generator for generate_example_reasoning(); returns the reasoned
+    example, or None when it is excluded."""
+    from .gateway import classify_steps  # local import to avoid a cycle
+
+    for attempt in (0, 1):
+        bundle = render_reasoning_prompt(example, templates, attempt=attempt)
+        outcome = yield from classify_steps(bundle, repair_policy)
+        pred = outcome.prediction
+        if pred is not None and pred.label == example.gold_label:
+            return replace(example, reasoning={"step1": pred.step1, "step2": pred.step2})
+    return None
+
+
 def generate_example_reasoning(example: Example, backend,
                                templates: TemplateSet = DEFAULT_TEMPLATES,
                                repair_policy: str = "LENIENT") -> Example | None:
@@ -221,15 +237,45 @@ def generate_example_reasoning(example: Example, backend,
     label contradicts gold is retried once; a second contradiction flags
     the example as excluded (returns None).
     """
-    from .gateway import classify  # local import to avoid a cycle
+    from .gateway import drive
 
-    for attempt in (0, 1):
-        bundle = render_reasoning_prompt(example, templates, attempt=attempt)
-        outcome = classify(backend, bundle, repair_policy)
-        pred = outcome.prediction
-        if pred is not None and pred.label == example.gold_label:
-            return replace(example, reasoning={"step1": pred.step1, "step2": pred.step2})
-    return None
+    return drive(example_reasoning_steps(example, templates, repair_policy), backend.complete)
+
+
+def reasoned_examples_steps(
+    corpus: Corpus,
+    target_batch: str,
+    k: int,
+    seed: int,
+    pool: Sequence[Example] | None = None,
+    templates: TemplateSet = DEFAULT_TEMPLATES,
+):
+    """Step generator for reasoned_examples(); returns the examples.
+
+    Reasoning is requested together for as many candidates as examples are
+    still missing, so it may run concurrently; more are requested only to
+    replace exclusions. The candidates tried are exactly those a
+    one-at-a-time search would try: it too stops at the k-th valid one.
+    """
+    from .gateway import Gather
+
+    candidates = eligible_pool(corpus, target_batch) if pool is None else [
+        ex for ex in pool if ex.sentence.batch != target_batch]
+    if len(candidates) < k:
+        raise DataError(
+            f"insufficient example pool for batch {target_batch}: "
+            f"need {k}, have {len(candidates)}")
+    order = iter_shuffled_pool(candidates, seed)
+    out: list[Example] = []
+    while len(out) < k:
+        tries = list(islice(order, k - len(out)))
+        if not tries:
+            raise DataError(
+                f"insufficient example pool for batch {target_batch} after reasoning "
+                f"exclusions: need {k}, have {len(out)}")
+        reasoned = yield Gather(example_reasoning_steps(ex, templates) for ex in tries)
+        out += [ex for ex in reasoned if ex is not None]
+    return out
 
 
 def reasoned_examples(
@@ -246,19 +292,7 @@ def reasoned_examples(
     Candidates whose reasoning contradicts gold twice are skipped, keeping
     selection deterministic for a fixed (corpus, batch, k, seed, backend).
     """
-    candidates = eligible_pool(corpus, target_batch) if pool is None else [
-        ex for ex in pool if ex.sentence.batch != target_batch]
-    if len(candidates) < k:
-        raise DataError(
-            f"insufficient example pool for batch {target_batch}: "
-            f"need {k}, have {len(candidates)}")
-    out: list[Example] = []
-    for ex in iter_shuffled_pool(candidates, seed):
-        reasoned = generate_example_reasoning(ex, backend, templates)
-        if reasoned is not None:
-            out.append(reasoned)
-            if len(out) == k:
-                return out
-    raise DataError(
-        f"insufficient example pool for batch {target_batch} after reasoning "
-        f"exclusions: need {k}, have {len(out)}")
+    from .gateway import drive
+
+    return drive(reasoned_examples_steps(corpus, target_batch, k, seed, pool, templates),
+                 backend.complete)

@@ -13,15 +13,20 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .agents import (OrchestrationFailure, run_majority_vote,
+# classify, run_majority_vote, run_predictor_critic_judge and
+# reasoned_examples stay importable here: perfbench/tracing.py wraps them
+# by these names.
+from .agents import (OrchestrationFailure, majority_vote_steps,
+                     predictor_critic_judge_steps, run_majority_vote,
                      run_predictor_critic_judge)
 from .corpus import Corpus
+from .dispatch import run_window
 from .errors import DataError
-from .gateway import ChatBackend, classify
+from .gateway import ChatBackend, Steps, classify, classify_steps
 from .prompting import (ERROR_BASED_VARIANTS, Example, Variant,
-                        build_error_pool, reasoned_examples,
+                        build_error_pool, reasoned_examples, reasoned_examples_steps,
                         render_cot, render_cot_few_shot, render_few_shot,
                         render_zero_shot, select_few_shot_examples)
 from .templates import DEFAULT_TEMPLATES, TemplateSet
@@ -92,11 +97,30 @@ def load_records(run_dir: str | Path) -> dict[str, dict]:
     records: dict[str, dict] = {}
     if path.is_file():
         with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, 1):
                 if line.strip():
-                    rec = json.loads(line)
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataError(
+                            f"{path}: line {line_no} is not a JSON record ({exc.msg}); "
+                            "if the run was interrupted, resuming it repairs the file"
+                        ) from exc
                     records[rec["sentence_id"]] = rec
     return records
+
+
+def _truncate_torn_tail(path: Path) -> None:
+    """Cut an unterminated last line, left by a write the process did not
+    finish, so that appending resumes on a line boundary."""
+    if not path.is_file():
+        return
+    with path.open("rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            log.warning("%s: dropping a torn last line of %d bytes", path, len(data) - end)
+            fh.truncate(end)
 
 
 def load_manifest(run_dir: str | Path) -> RunManifest:
@@ -116,12 +140,12 @@ def _seed_for_batch(seed: int, batch: str) -> int:
     return int(digest[:8], 16)
 
 
-def _build_batch_examples(
+def _batch_examples_steps(
     variant: Variant, corpus: Corpus, batch: str, k: int, seed: int,
-    backend: ChatBackend, templates: TemplateSet,
-    zero_shot_predictions: Mapping[str, int | None] | None,
-) -> list[Example] | None:
-    """Example set for one target batch, per the variant's pool rules."""
+    templates: TemplateSet, zero_shot_predictions: Mapping[str, int | None] | None,
+) -> Steps:
+    """Steps of the example set for one target batch, per the variant's pool
+    rules; returns None for variants without examples."""
     batch_seed = _seed_for_batch(seed, batch)
     if variant == Variant.FEW_SHOT:
         return select_few_shot_examples(corpus, batch, k, batch_seed)
@@ -130,8 +154,8 @@ def _build_batch_examples(
         pool = build_error_pool(zero_shot_predictions, corpus, batch)
         if variant == Variant.FEW_SHOT_ERROR:
             return select_few_shot_examples(corpus, batch, k, batch_seed, pool=pool)
-        return reasoned_examples(corpus, batch, k, batch_seed, backend,
-                                 pool=pool, templates=templates)
+        return (yield from reasoned_examples_steps(corpus, batch, k, batch_seed,
+                                                   pool=pool, templates=templates))
     return None
 
 
@@ -154,6 +178,10 @@ def run_variant(
     Error-based variants require zero_shot_run_dir pointing at a completed
     zero-shot run for the same backend. stop_after limits the number of
     newly dispatched sentences (used to exercise interruption).
+
+    Backend calls for several sentences may be in flight at once (up to the
+    backend's max_in_flight), but records are written in scope order and
+    are the same as when sentences are dispatched one at a time.
     """
     scope = [s for s in corpus.sentences
              if batches is None or s.batch in set(batches)]
@@ -175,6 +203,8 @@ def run_variant(
                             seed, k, templates.version, repair_policy)
     run_dir = Path(runs_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
+    records_path = run_dir / "records.jsonl"
+    _truncate_torn_tail(records_path)
     existing = load_records(run_dir)
 
     manifest = RunManifest(
@@ -189,55 +219,67 @@ def run_variant(
     manifest_path = run_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
 
-    examples_by_batch: dict[str, list[Example] | None] = {}
     pending = [s for s in scope if s.id not in existing]
-    total = len(pending)
+    todo = pending if stop_after is None else pending[:stop_after]
+    examples_by_batch: dict[str, list[Example] | None] = {}
 
-    with (run_dir / "records.jsonl").open("a", encoding="utf-8") as records_fh:
-        for done, sentence in enumerate(pending):
-            if stop_after is not None and done >= stop_after:
-                manifest.status = "interrupted"
-                break
-            if sentence.batch not in examples_by_batch:
-                examples_by_batch[sentence.batch] = _build_batch_examples(
-                    variant, corpus, sentence.batch, k, seed, backend,
-                    templates, zero_shot_predictions)
-            examples = examples_by_batch[sentence.batch]
-            record = _dispatch(sentence, variant, backend, examples,
-                               templates, repair_policy)
-            record["run_id"] = run_id
-            records_fh.write(_record_line(record))
-            manifest.dispatched += 1
-            manifest.cached += record.get("cached", 0)
-            if record["final_label"] is None:
-                manifest.schema_failures += 1
-            manifest.n_records += 1
-            if progress:
-                progress(done + 1, total)
-        else:
-            manifest.status = "finished"
-            manifest.finished_at = _now()
+    def examples_steps(batch: str) -> Steps:
+        examples_by_batch[batch] = yield from _batch_examples_steps(
+            variant, corpus, batch, k, seed, templates, zero_shot_predictions)
+
+    def source() -> Iterator[Steps | None]:
+        """Each batch's example set, then its sentences once the set exists."""
+        started: set[str] = set()
+        for sentence in todo:
+            if sentence.batch not in started:
+                started.add(sentence.batch)
+                yield examples_steps(sentence.batch)
+            while sentence.batch not in examples_by_batch:
+                yield None
+            yield _dispatch_steps(sentence, variant, examples_by_batch[sentence.batch],
+                                  templates, repair_policy)
+
+    def commit(record: dict | None) -> None:
+        if record is None:  # an example set, stored by examples_steps
+            return
+        record["run_id"] = run_id
+        records_fh.write(_record_line(record))
+        manifest.dispatched += 1
+        manifest.cached += record.get("cached", 0)
+        if record["final_label"] is None:
+            manifest.schema_failures += 1
+        manifest.n_records += 1
+        if progress:
+            progress(manifest.dispatched, len(pending))
+
+    with records_path.open("a", encoding="utf-8") as records_fh:
+        run_window(backend, source(), commit)
+    if len(todo) < len(pending):
+        manifest.status = "interrupted"
+    else:
+        manifest.status = "finished"
+        manifest.finished_at = _now()
 
     manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
     return manifest
 
 
-def _dispatch(sentence, variant: Variant, backend: ChatBackend,
-              examples: Sequence[Example] | None,
-              templates: TemplateSet, repair_policy: str) -> dict:
+def _dispatch_steps(sentence, variant: Variant, examples: Sequence[Example] | None,
+                    templates: TemplateSet, repair_policy: str) -> Steps:
+    """Steps of one sentence under one variant; returns its record."""
     record: dict = {"sentence_id": sentence.id, "variant": variant.value}
 
     if variant in (Variant.MULTI_AGENT, Variant.COT_MULTI_AGENT,
                    Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT):
         try:
             if variant == Variant.MULTI_AGENT:
-                trace = run_majority_vote(sentence, backend, templates, repair_policy)
+                trace = yield from majority_vote_steps(sentence, templates, repair_policy)
             else:
                 predictor = (Variant.COT_FEW_SHOT_ERROR
                              if variant == Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT
                              else Variant.COT)
-                trace = run_predictor_critic_judge(
-                    sentence, backend, predictor, examples, templates, repair_policy)
+                trace = yield from predictor_critic_judge_steps(
+                    sentence, predictor, examples, templates, repair_policy)
         except OrchestrationFailure as failure:
             record.update(final_label=None,
                           failure=f"{failure.role}: {failure.reason}")
@@ -256,7 +298,7 @@ def _dispatch(sentence, variant: Variant, backend: ChatBackend,
     else:
         raise DataError(f"unknown variant: {variant}")
 
-    outcome = classify(backend, bundle, repair_policy)
+    outcome = yield from classify_steps(bundle, repair_policy)
     completion = outcome.completion
     record["cached"] = int(completion.cached)
     record["latency_ms"] = completion.latency_ms

@@ -135,6 +135,16 @@ class TestRunEvalCompare:
         assert [r["scope"] for r in summary] == ["ALL", "K1", "K2"]
         assert summary[0]["recall"] == 1.0
 
+    def test_eval_of_torn_records_is_data_error(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert self._run(config, data) == 0
+        run_id = self._latest_run_id(tmp_path, "zero_shot-")
+        with (tmp_path / "runs" / run_id / "records.jsonl").open("a") as fh:
+            fh.write('{"cached": 0, "final_lab')
+        capsys.readouterr()
+        assert invoke(config, "eval", "--run", run_id, "--corpus", data) == 4
+        assert "line 7" in capsys.readouterr().err
+
     def test_eval_failures_as_negative_flag(self, workspace, capsys):
         tmp_path, config, data = workspace
         assert self._run(config, data) == 0

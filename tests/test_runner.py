@@ -112,6 +112,24 @@ class TestResume:
         rec_b = (dir_b / straight.run_id / "records.jsonl").read_bytes()
         assert rec_a == rec_b
 
+    def test_resume_after_torn_last_line_byte_identical(self, tmp_path):
+        """A crash mid-write leaves part of a line; resuming drops it and
+        redoes that sentence."""
+        corpus = corpus_for_runs()
+        straight = run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path / "straight")
+        expected = (tmp_path / "straight" / straight.run_id / "records.jsonl").read_bytes()
+        lines = expected.splitlines(keepends=True)
+
+        run_dir = tmp_path / "torn" / straight.run_id
+        run_dir.mkdir(parents=True)
+        (run_dir / "records.jsonl").write_bytes(b"".join(lines[:5]) + lines[5][:40])
+        with pytest.raises(DataError, match="line 6"):
+            load_records(run_dir)
+
+        resumed = run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path / "torn")
+        assert resumed.dispatched == 27
+        assert (run_dir / "records.jsonl").read_bytes() == expected
+
     def test_finished_run_dispatches_nothing(self, tmp_path):
         corpus = corpus_for_runs()
         be = backend()
