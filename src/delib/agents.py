@@ -9,10 +9,11 @@ from typing import Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import DataError
-# classify stays importable here: perfbench/tracing.py wraps it by this name.
+# classify and render_cot_few_shot stay importable here: perfbench/tracing.py
+# wraps them by these names.
 from .gateway import ChatBackend, Steps, classify, classify_steps, drive
-from .prompting import (Example, PromptBundle, Variant, render_cot,
-                        render_cot_few_shot, render_zero_shot)
+from .prompting import (Example, ExampleSet, PromptBundle, Variant, render_cot,
+                        render_cot_few_shot, render_cot_few_shot_with, render_zero_shot)
 from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 log = logging.getLogger(__name__)
@@ -171,15 +172,17 @@ def run_majority_vote(sentence: Sentence, backend: ChatBackend,
 def predictor_critic_judge_steps(
     sentence: Sentence,
     predictor_variant: Variant = Variant.COT,
-    examples: Sequence[Example] | None = None,
+    example_set: ExampleSet | None = None,
     templates: TemplateSet = DEFAULT_TEMPLATES,
     repair_policy: str = "LENIENT",
 ) -> Steps:
-    """Step generator for run_predictor_critic_judge(); returns the AgentTrace."""
+    """Step generator for run_predictor_critic_judge(); returns the AgentTrace.
+    example_set holds the reasoned examples (ExampleSet.cot) of a
+    COT_FEW_SHOT_ERROR predictor."""
     if predictor_variant == Variant.COT_FEW_SHOT_ERROR:
-        if not examples:
+        if example_set is None or not example_set.examples:
             raise DataError("predictor variant requires reasoned examples")
-        predictor_bundle = render_cot_few_shot(sentence, examples, templates)
+        predictor_bundle = render_cot_few_shot_with(sentence, example_set, templates)
     elif predictor_variant == Variant.COT:
         predictor_bundle = render_cot(sentence, templates)
     else:
@@ -236,7 +239,9 @@ def run_predictor_critic_judge(
     repair_policy: str = "LENIENT",
 ) -> AgentTrace:
     """CoT predictor, critic review, judge only on disagreement."""
-    return drive(predictor_critic_judge_steps(sentence, predictor_variant, examples,
+    example_set = (ExampleSet.cot(examples, templates)
+                   if examples and predictor_variant == Variant.COT_FEW_SHOT_ERROR else None)
+    return drive(predictor_critic_judge_steps(sentence, predictor_variant, example_set,
                                               templates, repair_policy), backend.complete)
 
 

@@ -18,7 +18,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Callable, Iterator, Sequence
 
-from .gateway import ChatBackend, Gather, Message, Steps, cache_key, drive
+from .gateway import ChatBackend, Gather, Message, Steps, drive
 
 #: Generators in progress per backend call allowed in flight.
 WINDOW_PER_CALL = 4
@@ -130,19 +130,20 @@ class _Window:
         """The completion now, or _BLOCKED after the task is queued on a call."""
         backend = self.backend
         slow = backend.slow
+        key = None
         if slow or self.inflight:
-            key = cache_key(backend.config, messages)
+            key = backend.key(messages)
             call = self.inflight.get(key)
             if call is None and slow and backend.cache.get(backend.config.name, key) is None:
                 if self.pool is None:
                     self.pool = ThreadPoolExecutor(backend.config.limits.max_in_flight,
                                                    thread_name_prefix="delib-dispatch")
-                call = self.inflight[key] = self.pool.submit(backend.complete, messages)
+                call = self.inflight[key] = self.pool.submit(backend.complete, messages, key)
                 self.waiters[call] = (key, [])
             if call is not None:
                 self.waiters[call][1].append((task, messages))
                 return _BLOCKED
-        return backend.complete(messages)
+        return backend.complete(messages, key)
 
     def _gather(self, task: _Task, steps: list[Steps]) -> None:
         if not steps:

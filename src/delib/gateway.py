@@ -54,11 +54,13 @@ class BackendConfig:
     limits: Limits = field(default_factory=Limits)
 
     def digest(self) -> str:
-        payload = json.dumps(
-            {"name": self.name, "endpoint": self.endpoint, "model": self.model,
-             "temperature": self.decoding.temperature,
-             "max_output_tokens": self.decoding.max_output_tokens},
-            sort_keys=True).encode()
+        fields = {"name": self.name, "endpoint": self.endpoint, "model": self.model,
+                  "temperature": self.decoding.temperature,
+                  "max_output_tokens": self.decoding.max_output_tokens}
+        if self.decoding.response_format_hint is not None:
+            # only when set, so digests of configs without a hint stay as they were
+            fields["response_format_hint"] = self.decoding.response_format_hint
+        payload = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
@@ -71,23 +73,81 @@ class CompletionResult:
     attempt: int = 0
 
 
-def cache_key(config: BackendConfig, messages: Sequence[Message]) -> str:
-    payload = json.dumps(
-        {"backend": config.name, "model": config.model,
-         "decoding": {"temperature": config.decoding.temperature,
-                      "max_output_tokens": config.decoding.max_output_tokens,
-                      "response_format_hint": config.decoding.response_format_hint},
-         "messages": list(messages)},
-        sort_keys=True, ensure_ascii=False).encode()
-    return hashlib.sha256(payload).hexdigest()
+#: json.dumps(value, sort_keys=True, ensure_ascii=False), and the same for a str.
+_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+_json_str = json.encoder.encode_basestring
+#: Distinct system messages a backend keeps a hash state for.
+MAX_SYSTEM_STATES = 64
+
+
+def _encode_message(message: Message) -> str:
+    """json.dumps(message, sort_keys=True, ensure_ascii=False), spelled out
+    for the usual {"role": str, "content": str}."""
+    if type(message) is dict and len(message) == 2:
+        role, content = message.get("role"), message.get("content")
+        if type(role) is str and type(content) is str:
+            return f'{{"content": {_json_str(content)}, "role": {_json_str(role)}}}'
+    return _JSON.encode(message)
+
+
+class CacheKeys:
+    """The reusable parts of one backend's cache keys.
+
+    A cache key is the sha256 of json.dumps({"backend", "decoding",
+    "messages", "model"}, sort_keys=True, ensure_ascii=False). With sorted
+    keys that text is a head fixed by the config, the messages, and a fixed
+    tail. The head is encoded once; a hash state that has absorbed the head
+    and a system message is kept for each distinct system message, up to
+    MAX_SYSTEM_STATES, so a completion encodes and hashes only the messages
+    after it.
+    """
+
+    def __init__(self, config: BackendConfig):
+        decoding = _JSON.encode(
+            {"temperature": config.decoding.temperature,
+             "max_output_tokens": config.decoding.max_output_tokens,
+             "response_format_hint": config.decoding.response_format_hint})
+        self.head = hashlib.sha256(
+            f'{{"backend": {_json_str(config.name)}, "decoding": {decoding}, '
+            '"messages": ['.encode())
+        self.tail = f'], "model": {_json_str(config.model)}}}'.encode()
+        self._after_system: dict[str, "hashlib._Hash"] = {}
+
+    def key(self, messages: Sequence[Message]) -> str:
+        messages = list(messages)
+        first = messages[0] if messages else None
+        if (type(first) is dict and len(first) == 2 and first.get("role") == "system"
+                and type(first.get("content")) is str):
+            state = self._after_system.get(first["content"])
+            if state is None:
+                state = self.head.copy()
+                state.update(_encode_message(first).encode())
+                if len(self._after_system) < MAX_SYSTEM_STATES:
+                    self._after_system[first["content"]] = state
+            state = state.copy()
+            rest = "".join([", " + _encode_message(m) for m in messages[1:]])
+        else:
+            state = self.head.copy()
+            rest = ", ".join([_encode_message(m) for m in messages])
+        state.update(rest.encode())
+        state.update(self.tail)
+        return state.hexdigest()
+
+
+def cache_key(config: BackendConfig, messages: Sequence[Message],
+              keys: CacheKeys | None = None) -> str:
+    """The response-cache key of messages sent to the backend `config`
+    describes; `keys` are that backend's reusable parts (built here when
+    not given). The key is a stable on-disk format: see CacheKeys."""
+    return (keys if keys is not None else CacheKeys(config)).key(messages)
 
 
 class ResponseCache:
     """Cache layout: <root>/<backend>/<first 2 hex of key>/<key>.json.
 
     root=None keeps entries in memory only (useful for throwaway runs).
-    Writes are atomic (temp file + rename) and serialized by a lock;
-    reads are lock-free.
+    Writes are atomic (a temp file per writer, then a rename) and
+    serialized by a lock per instance; reads are lock-free.
     """
 
     def __init__(self, root: str | Path | None):
@@ -119,10 +179,16 @@ class ResponseCache:
                 return
             path = self._path(backend, key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(entry, ensure_ascii=False, sort_keys=True),
-                           encoding="utf-8")
-            tmp.replace(path)
+            # one temp name per writing thread of each process, so that
+            # writers of one key never write into each other's temp file
+            tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+            try:
+                tmp.write_text(json.dumps(entry, ensure_ascii=False, sort_keys=True),
+                               encoding="utf-8")
+                tmp.replace(path)
+            except OSError:
+                tmp.unlink(missing_ok=True)
+                raise
 
 
 class _RateLimiter:
@@ -281,6 +347,7 @@ class ChatBackend:
         self.clock = clock
         self._admission = threading.Semaphore(config.limits.max_in_flight)
         self._rate = _RateLimiter(config.limits.requests_per_minute, sleep)
+        self._keys = CacheKeys(config)
         self._recent = 0  # bit i: the (i+1)-th most recent transport call was slow
         self._recent_lock = threading.Lock()
         self.slow = False
@@ -290,8 +357,15 @@ class ChatBackend:
             self._recent = (self._recent << 1 | (seconds > SLOW_CALL_S)) & _RECENT_MASK
             self.slow = self._recent.bit_count() > RECENT_CALLS // 2
 
-    def complete(self, messages: Sequence[Message]) -> CompletionResult:
-        key = cache_key(self.config, messages)
+    def key(self, messages: Sequence[Message]) -> str:
+        """The cache key of messages."""
+        return cache_key(self.config, messages, self._keys)
+
+    def complete(self, messages: Sequence[Message], key: str | None = None) -> CompletionResult:
+        """The completion of messages, from the cache or the transport;
+        key, when given, is self.key(messages)."""
+        if key is None:
+            key = self.key(messages)
         start = self.clock()
         entry = self.cache.get(self.config.name, key)
         if entry is not None:

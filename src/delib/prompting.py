@@ -72,20 +72,50 @@ def render_zero_shot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLA
     )
 
 
+@dataclass(frozen=True)
+class ExampleSet:
+    """The examples for one target batch and their prompt block, rendered
+    once for every sentence of the batch."""
+    examples: Sequence[Example]
+    block: str
+
+    @classmethod
+    def few_shot(cls, examples: Sequence[Example],
+                 templates: TemplateSet = DEFAULT_TEMPLATES) -> "ExampleSet":
+        return cls(examples, "\n".join(
+            templates.render("example_line", text=ex.sentence.text,
+                             label_name=_label_name(ex.gold_label), label=ex.gold_label)
+            for ex in examples))
+
+    @classmethod
+    def cot(cls, examples: Sequence[Example],
+            templates: TemplateSet = DEFAULT_TEMPLATES) -> "ExampleSet":
+        blocks = []
+        for ex in examples:
+            if not ex.reasoning:
+                raise DataError(f"example {ex.sentence.id} is missing generated reasoning")
+            blocks.append(templates.render(
+                "cot_example_block", text=ex.sentence.text,
+                step1=ex.reasoning["step1"], step2=ex.reasoning["step2"],
+                label_name=_label_name(ex.gold_label), label=ex.gold_label))
+        return cls(examples, "\n\n".join(blocks))
+
+
 def render_few_shot(sentence: Sentence, examples: Sequence[Example],
                     templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    if not examples:
+    return render_few_shot_with(sentence, ExampleSet.few_shot(examples, templates), templates)
+
+
+def render_few_shot_with(sentence: Sentence, example_set: ExampleSet,
+                         templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
+    """render_few_shot() with the example block already rendered."""
+    if not example_set.examples:
         raise DataError("render_few_shot: no examples supplied")
-    _check_examples(sentence, examples)
-    lines = [
-        templates.render("example_line", text=ex.sentence.text,
-                         label_name=_label_name(ex.gold_label), label=ex.gold_label)
-        for ex in examples
-    ]
+    _check_examples(sentence, example_set.examples)
     return PromptBundle(
         variant=Variant.FEW_SHOT,
         system=templates.render("few_shot.system"),
-        user=templates.render("few_shot.user", examples="\n".join(lines),
+        user=templates.render("few_shot.user", examples=example_set.block,
                               sentence=sentence.text),
         expected_schema="SIMPLE",
         sentence_id=sentence.id,
@@ -104,21 +134,19 @@ def render_cot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES) -
 
 def render_cot_few_shot(sentence: Sentence, examples: Sequence[Example],
                         templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    if not examples:
+    return render_cot_few_shot_with(sentence, ExampleSet.cot(examples, templates), templates)
+
+
+def render_cot_few_shot_with(sentence: Sentence, example_set: ExampleSet,
+                             templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
+    """render_cot_few_shot() with the example block already rendered."""
+    if not example_set.examples:
         raise DataError("render_cot_few_shot: no examples supplied")
-    _check_examples(sentence, examples)
-    blocks = []
-    for ex in examples:
-        if not ex.reasoning:
-            raise DataError(f"example {ex.sentence.id} is missing generated reasoning")
-        blocks.append(templates.render(
-            "cot_example_block", text=ex.sentence.text,
-            step1=ex.reasoning["step1"], step2=ex.reasoning["step2"],
-            label_name=_label_name(ex.gold_label), label=ex.gold_label))
+    _check_examples(sentence, example_set.examples)
     return PromptBundle(
         variant=Variant.COT_FEW_SHOT_ERROR,
         system=templates.render("cot.system"),
-        user=templates.render("cot_few_shot.user", examples="\n\n".join(blocks),
+        user=templates.render("cot_few_shot.user", examples=example_set.block,
                               sentence=sentence.text),
         expected_schema="COT",
         sentence_id=sentence.id,

@@ -25,10 +25,13 @@ from .corpus import Corpus
 from .dispatch import run_window
 from .errors import DataError
 from .gateway import ChatBackend, Steps, classify, classify_steps
-from .prompting import (ERROR_BASED_VARIANTS, Example, Variant,
+# render_few_shot and render_cot_few_shot stay importable here for the same
+# reason; a run renders through the *_with forms and each batch's ExampleSet.
+from .prompting import (ERROR_BASED_VARIANTS, ExampleSet, Variant,
                         build_error_pool, reasoned_examples, reasoned_examples_steps,
-                        render_cot, render_cot_few_shot, render_few_shot,
-                        render_zero_shot, select_few_shot_examples)
+                        render_cot, render_cot_few_shot, render_cot_few_shot_with,
+                        render_few_shot, render_few_shot_with, render_zero_shot,
+                        select_few_shot_examples)
 from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 log = logging.getLogger(__name__)
@@ -81,9 +84,14 @@ def _now() -> str:
 
 def compute_run_id(variant: Variant, backend_digest: str, corpus_digest: str,
                    seed: int, k: int, template_version: str,
-                   repair_policy: str) -> str:
-    payload = json.dumps([variant.value, backend_digest, corpus_digest, seed,
-                          k, template_version, repair_policy])
+                   repair_policy: str, scope: Sequence[str] | None = None) -> str:
+    """scope: the sorted batches of a run over part of the corpus; None (or
+    empty) for the whole corpus, whose run ids it leaves unchanged."""
+    fields = [variant.value, backend_digest, corpus_digest, seed,
+              k, template_version, repair_policy]
+    if scope:
+        fields.append(list(scope))
+    payload = json.dumps(fields)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:10]
     return f"{variant.value.lower()}-{digest}"
 
@@ -145,17 +153,20 @@ def _batch_examples_steps(
     templates: TemplateSet, zero_shot_predictions: Mapping[str, int | None] | None,
 ) -> Steps:
     """Steps of the example set for one target batch, per the variant's pool
-    rules; returns None for variants without examples."""
+    rules; returns the ExampleSet, or None for variants without examples."""
     batch_seed = _seed_for_batch(seed, batch)
     if variant == Variant.FEW_SHOT:
-        return select_few_shot_examples(corpus, batch, k, batch_seed)
+        return ExampleSet.few_shot(select_few_shot_examples(corpus, batch, k, batch_seed),
+                                   templates)
     if variant in ERROR_BASED_VARIANTS:
         assert zero_shot_predictions is not None
         pool = build_error_pool(zero_shot_predictions, corpus, batch)
         if variant == Variant.FEW_SHOT_ERROR:
-            return select_few_shot_examples(corpus, batch, k, batch_seed, pool=pool)
-        return (yield from reasoned_examples_steps(corpus, batch, k, batch_seed,
-                                                   pool=pool, templates=templates))
+            return ExampleSet.few_shot(
+                select_few_shot_examples(corpus, batch, k, batch_seed, pool=pool), templates)
+        examples = yield from reasoned_examples_steps(corpus, batch, k, batch_seed,
+                                                      pool=pool, templates=templates)
+        return ExampleSet.cot(examples, templates)
     return None
 
 
@@ -199,8 +210,10 @@ def run_variant(
         if not zero_shot_predictions:
             raise DataError(f"zero-shot run at {zero_shot_run_dir} has no records")
 
+    partial = len(scope_batches) < len(corpus.batches())
     run_id = compute_run_id(variant, backend.config.digest(), corpus.digest(),
-                            seed, k, templates.version, repair_policy)
+                            seed, k, templates.version, repair_policy,
+                            scope_batches if partial else None)
     run_dir = Path(runs_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     records_path = run_dir / "records.jsonl"
@@ -221,7 +234,7 @@ def run_variant(
 
     pending = [s for s in scope if s.id not in existing]
     todo = pending if stop_after is None else pending[:stop_after]
-    examples_by_batch: dict[str, list[Example] | None] = {}
+    examples_by_batch: dict[str, ExampleSet | None] = {}
 
     def examples_steps(batch: str) -> Steps:
         examples_by_batch[batch] = yield from _batch_examples_steps(
@@ -264,7 +277,7 @@ def run_variant(
     return manifest
 
 
-def _dispatch_steps(sentence, variant: Variant, examples: Sequence[Example] | None,
+def _dispatch_steps(sentence, variant: Variant, example_set: ExampleSet | None,
                     templates: TemplateSet, repair_policy: str) -> Steps:
     """Steps of one sentence under one variant; returns its record."""
     record: dict = {"sentence_id": sentence.id, "variant": variant.value}
@@ -279,7 +292,7 @@ def _dispatch_steps(sentence, variant: Variant, examples: Sequence[Example] | No
                              if variant == Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT
                              else Variant.COT)
                 trace = yield from predictor_critic_judge_steps(
-                    sentence, predictor, examples, templates, repair_policy)
+                    sentence, predictor, example_set, templates, repair_policy)
         except OrchestrationFailure as failure:
             record.update(final_label=None,
                           failure=f"{failure.role}: {failure.reason}")
@@ -290,11 +303,11 @@ def _dispatch_steps(sentence, variant: Variant, examples: Sequence[Example] | No
     if variant == Variant.ZERO_SHOT:
         bundle = render_zero_shot(sentence, templates)
     elif variant in (Variant.FEW_SHOT, Variant.FEW_SHOT_ERROR):
-        bundle = render_few_shot(sentence, examples, templates)
+        bundle = render_few_shot_with(sentence, example_set, templates)
     elif variant == Variant.COT:
         bundle = render_cot(sentence, templates)
     elif variant == Variant.COT_FEW_SHOT_ERROR:
-        bundle = render_cot_few_shot(sentence, examples, templates)
+        bundle = render_cot_few_shot_with(sentence, example_set, templates)
     else:
         raise DataError(f"unknown variant: {variant}")
 

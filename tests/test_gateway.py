@@ -1,12 +1,15 @@
+import hashlib
 import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delib.errors import ConfigError, TransportError
-from delib.gateway import (BackendConfig, ChatBackend, Limits, MockRule,
-                           ResponseCache, ScriptedTransport, cache_key,
-                           classify, mock_backend)
+from delib.gateway import (BackendConfig, CacheKeys, ChatBackend, DecodingParams,
+                           Limits, MockRule, ResponseCache, ScriptedTransport,
+                           cache_key, classify, mock_backend)
 from delib.prompting import Variant, PromptBundle
 
 MSGS = [{"role": "system", "content": "sys"},
@@ -39,6 +42,82 @@ class TestCacheKey:
         assert cache_key(a, MSGS) != cache_key(b, MSGS)
 
 
+HINTED = BackendConfig(name="local-llama", endpoint="http://localhost:8000/v1",
+                       model="llama-3.1-8b-instruct",
+                       decoding=DecodingParams(temperature=0.0, max_output_tokens=256,
+                                               response_format_hint="json_object"))
+HINTED_MSGS = [
+    {"role": "system",
+     "content": 'Classify the sentence.\nAnswer in JSON: {"deliberative": 0 or 1}'},
+    {"role": "user",
+     "content": 'Sentence: "Le comité a décidé — 2026 ✓"\n\tnew line \\ back'}]
+
+
+def reference_cache_key(config, messages):
+    """The on-disk cache key format, spelled out."""
+    payload = json.dumps(
+        {"backend": config.name, "model": config.model,
+         "decoding": {"temperature": config.decoding.temperature,
+                      "max_output_tokens": config.decoding.max_output_tokens,
+                      "response_format_hint": config.decoding.response_format_hint},
+         "messages": list(messages)},
+        sort_keys=True, ensure_ascii=False).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+_message = st.fixed_dictionaries(
+    {"role": st.sampled_from(["system", "user", "assistant"]), "content": _text},
+    optional={"name": _text})
+
+
+class TestCacheKeyFormat:
+    def test_pinned_digest(self):
+        # A change here invalidates every on-disk ResponseCache.
+        expected = "75deb224e8e6c73ca2827e6cac3a25f2c7ff69cad03461a8ccededea6c41a380"
+        assert reference_cache_key(HINTED, HINTED_MSGS) == expected
+        assert cache_key(HINTED, HINTED_MSGS) == expected
+        assert ChatBackend(HINTED, transport=lambda m: None).key(HINTED_MSGS) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=_text, model=_text,
+           temperature=st.floats(allow_nan=False, allow_infinity=False),
+           max_tokens=st.integers(0, 10 ** 6),
+           hint=st.none() | _text,
+           conversations=st.lists(st.lists(_message, max_size=4), min_size=1, max_size=4))
+    def test_matches_reference(self, name, model, temperature, max_tokens, hint,
+                               conversations):
+        config = BackendConfig(name=name, model=model, decoding=DecodingParams(
+            temperature=temperature, max_output_tokens=max_tokens,
+            response_format_hint=hint))
+        keys = CacheKeys(config)
+        for messages in conversations + conversations:  # second pass: kept states
+            expected = reference_cache_key(config, messages)
+            assert cache_key(config, messages) == expected
+            assert cache_key(config, tuple(messages), keys) == expected
+
+    def test_many_system_messages(self):
+        keys = CacheKeys(HINTED)
+        for i in range(200):
+            messages = [{"role": "system", "content": f"system {i % 100}"},
+                        {"role": "user", "content": "u"}]
+            assert keys.key(messages) == reference_cache_key(HINTED, messages)
+
+
+class TestBackendDigest:
+    def test_unchanged_without_hint(self):
+        # run ids of existing runs derive from this digest
+        assert BackendConfig(name="b", model="m").digest() == "1405afbaaa8e"
+
+    def test_sensitive_to_response_format_hint(self):
+        plain = BackendConfig(name=HINTED.name, endpoint=HINTED.endpoint,
+                              model=HINTED.model,
+                              decoding=DecodingParams(temperature=0.0,
+                                                      max_output_tokens=256))
+        assert plain.digest() == "5718413a6acc"
+        assert HINTED.digest() != plain.digest()
+
+
 class TestResponseCache:
     def test_disk_roundtrip_and_layout(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -53,6 +132,30 @@ class TestResponseCache:
     def test_miss_is_none(self, tmp_path):
         assert ResponseCache(tmp_path).get("mock", "f" * 64) is None
         assert ResponseCache(None).get("mock", "f" * 64) is None
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        key = "cd" + "1" * 62
+        caches = [ResponseCache(tmp_path) for _ in range(2)]
+        errors = []
+
+        def write(cache, n):
+            try:
+                for i in range(200):
+                    cache.put("mock", key, {"key": key, "text": f"writer {n} put {i}"})
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(caches[n % 2], n)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        files = sorted(p.name for p in (tmp_path / "mock").rglob("*") if p.is_file())
+        assert files == [f"{key}.json"]
+        entry = json.loads((tmp_path / "mock" / "cd" / f"{key}.json").read_text())
+        assert entry["text"].startswith("writer ")
 
     def test_memory_only(self):
         cache = ResponseCache(None)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delib.agents import majority_vote_steps, predictor_critic_judge_steps
 from delib.errors import DataError
-from delib.gateway import MockRule, mock_backend
+from delib.gateway import CompletionResult, MockRule, drive, mock_backend
 from delib.prompting import (Example, Variant, build_error_pool,
                              generate_example_reasoning, render_cot,
                              render_cot_few_shot, render_few_shot,
-                             render_zero_shot, select_few_shot_examples)
+                             render_reasoning_prompt, render_zero_shot,
+                             select_few_shot_examples)
 
 from conftest import build_corpus, make_sentence
 
@@ -132,6 +134,46 @@ class TestGoldenSnapshots:
         self._check("few_shot", render_few_shot(target, exs))
         self._check("cot", render_cot(target))
         self._check("cot_few_shot", render_cot_few_shot(target, exs))
+
+    def _check_messages(self, name, messages):
+        system, user = (m["content"] for m in messages)
+        path = GOLDEN_DIR / f"{name}.txt"
+        rendered = f"[system]\n{system}\n[user]\n{user}\n"
+        assert rendered == path.read_text(encoding="utf-8"), f"snapshot {name} drifted"
+
+    @staticmethod
+    def _agent_prompts(steps, responses):
+        """The messages of each completion an orchestration asks for, when
+        the completions answer `responses` in turn."""
+        sent, answers = [], iter(responses)
+
+        def complete(messages):
+            sent.append(messages)
+            return CompletionResult(text=next(answers))
+        drive(steps, complete)
+        return sent
+
+    def test_agent_snapshots(self):
+        target = make_sentence('We should "expand" the pilot program.', "K1", 1)
+        _zero, second, tiebreak = self._agent_prompts(
+            majority_vote_steps(target),
+            ['{"deliberative": 1}', '{"deliberative": 0}', '{"deliberative": 1}'])
+        self._check_messages("vote_second", second)
+        self._check_messages("vote_tiebreak", tiebreak)
+        _cot, critic, judge = self._agent_prompts(
+            predictor_critic_judge_steps(target), [
+                '{"step1": "No decision yet.", "step2": "It recommends.", '
+                '"deliberative": 1}',
+                '{"assessment": "flawed", "issues": "step2 reads a fact as advice", '
+                '"suggestion": 0}',
+                '{"rationale": "The critic is right.", "deliberative": 0}'])
+        self._check_messages("critic", critic)
+        self._check_messages("judge", judge)
+
+    def test_reasoning_snapshots(self):
+        ex = example(AMERICORPS, "K2", 1)
+        self._check("reasoning", render_reasoning_prompt(ex))
+        self._check("reasoning_retry1", render_reasoning_prompt(ex, attempt=1))
 
 
 class TestSelectFewShot:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from delib.prompting import Variant
 from delib.runner import (GRID_ORDER, compute_run_id, load_manifest,
                           load_predictions, load_records, run_grid,
                           run_variant)
+from delib.templates import TemplateSet
 
 from conftest import build_corpus, universal_mock_rules
 
@@ -41,6 +43,10 @@ class TestRunId:
         assert base != compute_run_id(Variant.COT, "b" * 12, "c" * 12, 0, 5, "2", "LENIENT")
         assert base != compute_run_id(Variant.COT, "b" * 12, "c" * 12, 0, 5, "1", "STRICT")
         assert base != compute_run_id(Variant.COT, "x" * 12, "c" * 12, 0, 5, "1", "LENIENT")
+        assert base != compute_run_id(Variant.COT, "b" * 12, "c" * 12, 0, 5, "1", "LENIENT",
+                                      ["K1"])
+        assert base == compute_run_id(Variant.COT, "b" * 12, "c" * 12, 0, 5, "1", "LENIENT",
+                                      None)
 
 
 class TestRunVariant:
@@ -75,6 +81,25 @@ class TestRunVariant:
                                batches=["K1"])
         assert manifest.batches == ["K1"]
         assert manifest.n_records == 16
+
+    def test_batch_scopes_get_their_own_runs(self, tmp_path):
+        corpus = corpus_for_runs()
+        k1 = run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path, batches=["K1"])
+        k2 = run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path, batches=["K2"])
+        assert k1.run_id != k2.run_id
+        assert (k2.batches, k2.n_records, k2.dispatched) == (["K2"], 16, 16)
+        ids = {rec["sentence_id"] for rec in load_records(tmp_path / k2.run_id).values()}
+        assert ids == {s.id for s in corpus.sentences if s.batch == "K2"}
+
+    def test_full_scope_run_id_unchanged(self, tmp_path):
+        corpus = corpus_for_runs()
+        b = backend()
+        everything = run_variant(corpus, Variant.ZERO_SHOT, b, tmp_path)
+        assert everything.run_id == compute_run_id(
+            Variant.ZERO_SHOT, b.config.digest(), corpus.digest(), 0, 5, "1", "LENIENT")
+        listed = run_variant(corpus, Variant.ZERO_SHOT, b, tmp_path,
+                             batches=["K2", "K1", "K9"])
+        assert listed.run_id == everything.run_id
 
     def test_error_variant_requires_zero_shot(self, tmp_path):
         with pytest.raises(DataError, match="zero-shot run"):
@@ -161,6 +186,26 @@ class TestVariants:
         manifest = run_variant(corpus, Variant.FEW_SHOT, backend(), tmp_path, k=3)
         assert manifest.status == "finished"
         assert manifest.n_records == 32
+
+    def test_example_block_rendered_once_per_batch(self, tmp_path):
+        class CountingTemplates(TemplateSet):
+            def __init__(self):
+                super().__init__()
+                self.renders = Counter()
+
+            def render(self, name, **values):
+                self.renders[name] += 1
+                return super().render(name, **values)
+
+        counting = CountingTemplates()
+        corpus = corpus_for_runs()
+        plain = run_variant(corpus, Variant.FEW_SHOT, backend(), tmp_path / "a", k=3)
+        counted = run_variant(corpus, Variant.FEW_SHOT, backend(), tmp_path / "b", k=3,
+                              templates=counting)
+        assert counting.renders["example_line"] == 2 * 3  # two batches, k=3
+        assert counting.renders["few_shot.user"] == len(corpus.sentences)
+        assert ((tmp_path / "a" / plain.run_id / "records.jsonl").read_bytes()
+                == (tmp_path / "b" / counted.run_id / "records.jsonl").read_bytes())
 
     def test_few_shot_error_uses_zero_shot_errors(self, tmp_path):
         corpus = corpus_for_runs()

@@ -46,3 +46,32 @@ class TestTemplateSet:
         with pytest.raises(ConfigError, match="missing value"):
             templates.render("weird")
         assert templates.render("weird", value="it") == "needs it here"
+
+    def test_placeholder_in_value_rejected(self):
+        with pytest.raises(ConfigError, match=r"unresolved placeholder \{\{x\}\}"):
+            DEFAULT_TEMPLATES.render("zero_shot.user", sentence="a {{x}} b")
+
+    def test_placeholder_in_definitions_rejected(self, tmp_path):
+        (tmp_path / "definitions.txt").write_text("see {{glossary}}\n")
+        templates = TemplateSet(tmp_path)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="unresolved placeholder"):
+                templates.render("cot.system")
+
+    def test_rendering_matches_substitution(self, tmp_path):
+        """Compiled rendering against a plain regex substitution."""
+        import re
+        text = "{{a}}{{definitions}} mid {{b}}{{a}}\n"
+        (tmp_path / "t.txt").write_text(text)
+        (tmp_path / "definitions.txt").write_text("DEFS\n\n")
+        values = {"a": 1, "b": "two"}
+        expected = re.sub(r"\{\{(\w+)\}\}",
+                          lambda m: "DEFS" if m.group(1) == "definitions"
+                          else str(values[m.group(1)]), text.rstrip("\n"))
+        templates = TemplateSet(tmp_path)
+        assert templates.render("t", **values) == expected == "1DEFS mid two1"
+        assert templates.render("t", **values) == expected
+
+    def test_template_without_placeholders_shared(self):
+        templates = TemplateSet()
+        assert templates.render("few_shot.system") is templates.render("few_shot.system")
