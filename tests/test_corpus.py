@@ -1,6 +1,11 @@
+import hashlib
 import json
+import re
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delib.corpus import (corpus_stats, filter_batches, parse_dataset,
                           save_jsonl, sentence_id, stats_csv, stats_table)
@@ -22,6 +27,53 @@ class TestSentenceId:
     def test_stored_text_not_normalized(self):
         corpus = build_corpus([("  padded text ", "K1", 0)])
         assert corpus.sentences[0].text == "  padded text "
+
+
+_REF_WS = re.compile(r"\s+")
+
+
+def reference_sentence_id(batch: str, text: str) -> str:
+    """The sentence-id definition: sha256 over batch, a unit separator and
+    the NFC-normalised text with whitespace runs collapsed and the ends
+    stripped; the first 16 hex digits."""
+    normalized = _REF_WS.sub(" ", unicodedata.normalize("NFC", text).strip())
+    return hashlib.sha256(f"{batch}\x1f{normalized}".encode()).hexdigest()[:16]
+
+
+UNICODE_WHITESPACE = ("\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2007"
+                      "\u200a\u2028\u2029\u202f\u205f\u3000 ")
+ID_ALPHABET = ("abcAEZ.'\u0130\u212a\u212b\u00e9\u00c5\u0301\u0308\u0323\u0327"
+               "\u1e9b\u1100\u1161\u11a8\uac00\u00df\u200b")
+
+
+class TestSentenceIdContract:
+    @pytest.mark.parametrize("batch,text,expected", [
+        ("K1", "We should expand the pilot program.", "afbe13a97e732715"),
+        ("K1", "  We should\u3000expand\x85the pilot\x1cprogram. ", "afbe13a97e732715"),
+        ("K2", "My staff believe the caf\u00e9 contract should be renewed.",
+         "61714a9a4c83f791"),
+        ("K2", "My staff believe the cafe\u0301 contract should be renewed.",
+         "61714a9a4c83f791"),
+        ("R4", "\u212a\u212b \u0130stanbul", "04691ce5a6be33a3"),
+    ])
+    def test_literal_ids(self, batch, text, expected):
+        assert sentence_id(batch, text) == expected == reference_sentence_id(batch, text)
+
+    @given(st.text(alphabet=ID_ALPHABET + UNICODE_WHITESPACE, max_size=40),
+           st.sampled_from(["K1", "R4", "b\u0301"]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, text, batch):
+        assert sentence_id(batch, text) == reference_sentence_id(batch, text)
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_any_text(self, text):
+        assert sentence_id("K1", text) == reference_sentence_id("K1", text)
+
+    def test_regex_and_str_agree_on_whitespace_for_every_code_point(self):
+        differing = [c for c in map(chr, range(0x110000))
+                     if (_REF_WS.match(c) is not None) != c.isspace()]
+        assert differing == []
 
 
 class TestParseDataset:

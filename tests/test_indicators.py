@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,59 @@ class TestTokenize:
 
     def test_punctuation_and_numbers_skipped(self):
         assert tokenize("35 percent -- of $10,000!") == ["percent", "of"]
+
+
+_REF_TOKEN = re.compile(r"[a-zA-Z]+(?:'[a-zA-Z]+)?")
+_REF_NT_SPECIAL = {"can't": ("can", "not"), "won't": ("will", "not"),
+                   "shan't": ("shall", "not"), "ain't": ("be", "not")}
+_REF_CLITICS = {"'m": "am", "'re": "are", "'ve": "have", "'ll": "will", "'d": "would"}
+
+
+def reference_tokenize(text):
+    """The tokenizer's definition, rule by rule for every word."""
+    tokens = []
+    for raw in _REF_TOKEN.findall(text):
+        word = raw.lower()
+        if word in _REF_NT_SPECIAL:
+            tokens.extend(_REF_NT_SPECIAL[word])
+            continue
+        if word.endswith("n't") and len(word) > 3:
+            tokens.extend((word[:-3], "not"))
+            continue
+        for clitic, expansion in _REF_CLITICS.items():
+            if word.endswith(clitic) and len(word) > len(clitic):
+                tokens.extend((word[:-len(clitic)], expansion))
+                break
+        else:
+            if word.endswith("'s") and len(word) > 2:
+                word = word[:-2]
+            tokens.append(word)
+    return tokens
+
+
+TOKEN_PIECES = ["don't", "Can't", "WON'T", "shan't", "ain't", "n't", "isn't", "'s",
+                "'m", "'re", "'ve", "'ll", "'d", "'", "''", "we'd", "I'M", "it's",
+                "s", "d", "we", "I", "Should", "said", "adjourned", "\u0130", "\u0131",
+                "\u212a", "\u017f", "\u00e9", "e\u0301", "\u00df", " ", "\xa0", "\u3000",
+                "\x1c", "\x85", "\n", ".", "-", "5"]
+
+
+class TestTokenizeReference:
+    @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=20).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_on_contraction_pieces(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @given(st.text(alphabet="abdmnrstvlyDNT'\u0130\u0131\u212a\u017f\u00e9\u0301 \xa0\u3000.",
+                   max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_on_mixed_letters(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_any_text(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestRegularForms:

@@ -295,3 +295,47 @@ class TestRecordFiles:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="no manifest"):
             load_manifest(tmp_path)
+
+
+class TestLoadRecordsEdgeCases:
+    A = '{"final_label": 1, "sentence_id": "a"}'
+    B = '{"final_label": null, "sentence_id": "b"}'
+
+    def write(self, tmp_path, text):
+        (tmp_path / "records.jsonl").write_text(text, encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("bad", [
+        '{"final_label": 0, "sentence_id": "c"} x',
+        '{"final_label": 0, "sentence_id": "c"}{"final_label": 1, "sentence_id": "d"}',
+        '{"final_label": 0, "sentence_id": "c"',
+        '[1, 2',
+    ])
+    @pytest.mark.parametrize("load", [load_records, load_predictions])
+    def test_malformed_line_names_its_number(self, tmp_path, load, bad):
+        run_dir = self.write(tmp_path, f"{self.A}\n\n{bad}\n{self.B}\n")
+        with pytest.raises(DataError, match="line 3 is not a JSON record"):
+            load(run_dir)
+
+    @pytest.mark.parametrize("load", [load_records, load_predictions])
+    def test_leading_and_trailing_whitespace_load(self, tmp_path, load):
+        run_dir = self.write(tmp_path, f"  {self.A}\n\t{self.B} \n")
+        assert set(load(run_dir)) == {"a", "b"}
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        run_dir = self.write(tmp_path, f"\n{self.A}\n   \n\xa0\n\n{self.B}\n\n")
+        assert load_predictions(run_dir) == {"a": 1, "b": None}
+        assert load_records(run_dir)["b"] == {"final_label": None, "sentence_id": "b"}
+
+    def test_complete_last_line_without_newline_loads(self, tmp_path):
+        run_dir = self.write(tmp_path, f"{self.A}\n{self.B}")
+        assert load_predictions(run_dir) == {"a": 1, "b": None}
+
+    def test_later_record_of_a_sentence_wins(self, tmp_path):
+        later = '{"final_label": 0, "sentence_id": "a"}'
+        run_dir = self.write(tmp_path, f"{self.A}\n{self.B}\n{later}\n")
+        assert list(load_predictions(run_dir).items()) == [("a", 0), ("b", None)]
+        assert list(load_records(run_dir)) == ["a", "b"]
+
+    def test_missing_file_loads_empty(self, tmp_path):
+        assert load_records(tmp_path) == {} and load_predictions(tmp_path) == {}
