@@ -183,8 +183,10 @@ def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
             runner.load_predictions(_find_run_dir(settings, run_id.strip())))
     lexicons = indicators.load_lexicons(settings.resolve(settings.lexicon_dir))
     easy = indicators.build_easy_sets(run_predictions, corpus)
-    profiles = {s.id: indicators.extract_indicators(s, lexicons)
-                for s in corpus.sentences}
+    by_id = corpus.by_id()
+    # the tables read only the easy-set sentences
+    profiles = {sid: indicators.extract_indicators(by_id[sid], lexicons)
+                for sid in easy.easy_1 | easy.easy_0}
 
     sets = {"easy_1": easy.easy_1, "easy_0": easy.easy_0}
     click.echo(f"easy-1: {len(easy.easy_1)} sentences; "
@@ -223,7 +225,6 @@ def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
         (out / "cooccurrence.csv").write_text(
             indicators.cooccurrence_csv(cooccurrence), encoding="utf-8")
         (out / "verbs.csv").write_text(indicators.verbs_csv(verbs), encoding="utf-8")
-        by_id = corpus.by_id()
         with (out / "example_sentences.csv").open("w", encoding="utf-8") as fh:
             fh.write("unique_indicators,gold_label,text\n")
             for name, ids in sets.items():

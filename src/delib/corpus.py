@@ -11,7 +11,6 @@ import hashlib
 import io
 import json
 import logging
-import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +19,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DataError
 
 log = logging.getLogger(__name__)
-
-_WS = re.compile(r"\s+")
 
 # Header aliases for tabular ingest; first match wins, case-insensitive.
 DEFAULT_COLUMN_ALIASES = {
@@ -78,11 +75,16 @@ class BatchStats:
 
 
 def _normalize_for_id(text: str) -> str:
-    return _WS.sub(" ", unicodedata.normalize("NFC", text).strip())
+    if not unicodedata.is_normalized("NFC", text):
+        text = unicodedata.normalize("NFC", text)
+    # str.split() splits on exactly the characters the regex \s matches
+    return " ".join(text.split())
 
 
 def sentence_id(batch: str, text: str) -> str:
-    """Deterministic digest over (batch, NFC-normalized collapsed text)."""
+    """Deterministic digest over (batch, NFC-normalized collapsed text):
+    the first 16 hex digits of sha256 over the batch, a unit separator
+    (0x1f) and the text."""
     payload = f"{batch}\x1f{_normalize_for_id(text)}".encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 

@@ -27,6 +27,8 @@ _BUNDLED = Path(__file__).parent / "lexicons"
 # Fixed priority for resolving a token that matches several categories.
 CATEGORY_ORDER = ("modal", "first_person", "future_temporal",
                   "reporting", "cognitive", "stative")
+# Categories matched on the surface form; the rest match on the lemma.
+_SURFACE_CATEGORIES = ("modal", "first_person", "future_temporal")
 
 _VOWELS = set("aeiou")
 _TOKEN = re.compile(r"[a-zA-Z]+(?:'[a-zA-Z]+)?")
@@ -93,13 +95,22 @@ class Lexicons:
     inflections: Mapping[str, str]          # surface form -> lemma
     tense: Mapping[str, str]                # surface form -> pres|past
     verb_lemmas: frozenset                  # all lemmas with inflection entries
+    categories: Mapping[str, str]           # token -> its CATEGORY_ORDER category
     digest: str = ""
 
-    def category_sets(self) -> dict[str, frozenset]:
-        return {"stative": self.stative, "reporting": self.reporting,
-                "modal": self.modal, "cognitive": self.cognitive,
-                "first_person": self.first_person,
-                "future_temporal": self.future_temporal}
+
+def _resolve_categories(sets: Mapping[str, frozenset],
+                        inflections: Mapping[str, str]) -> dict[str, str]:
+    """Token -> category for every token that has one: the first category in
+    CATEGORY_ORDER holding the token (surface categories) or its lemma."""
+    categories: dict[str, str] = {}
+    for token in (*(t for c in _SURFACE_CATEGORIES for t in sets[c]), *inflections):
+        lemma = inflections.get(token)
+        for category in CATEGORY_ORDER:
+            if (token if category in _SURFACE_CATEGORIES else lemma) in sets[category]:
+                categories[token] = category
+                break
+    return categories
 
 
 def load_lexicons(directory: str | Path | None = None) -> Lexicons:
@@ -156,13 +167,13 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
         + sorted(f"{k}:{v}" for k, v in inflections.items()))
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
 
-    return Lexicons(
-        stative=frozenset(stative), reporting=frozenset(reporting),
-        modal=frozenset(modal), cognitive=frozenset(cognitive),
-        first_person=frozenset(first_person),
-        future_temporal=frozenset(future_temporal),
-        inflections=inflections, tense=tense,
-        verb_lemmas=frozenset(verb_lemmas), digest=digest)
+    sets = {"stative": frozenset(stative), "reporting": frozenset(reporting),
+            "modal": frozenset(modal), "cognitive": frozenset(cognitive),
+            "first_person": frozenset(first_person),
+            "future_temporal": frozenset(future_temporal)}
+    return Lexicons(**sets, inflections=inflections, tense=tense,
+                    verb_lemmas=frozenset(verb_lemmas),
+                    categories=_resolve_categories(sets, inflections), digest=digest)
 
 
 DEFAULT_LEXICONS = None  # lazily built by default_lexicons()
@@ -185,6 +196,9 @@ def tokenize(text: str) -> list[str]:
     tokens: list[str] = []
     for raw in _TOKEN.findall(text):
         word = raw.lower()
+        if "'" not in word:  # every rule below needs an apostrophe
+            tokens.append(word)
+            continue
         if word in _NT_SPECIAL:
             tokens.extend(_NT_SPECIAL[word])
             continue
@@ -220,18 +234,6 @@ class IndicatorProfile:
         return frozenset(c for c, tokens in self.hits.items() if tokens)
 
 
-def _token_category(token: str, lexicons: Lexicons) -> str | None:
-    lemma = lexicons.inflections.get(token)
-    for category in CATEGORY_ORDER:
-        if category in ("modal", "first_person", "future_temporal"):
-            if token in getattr(lexicons, category):
-                return category
-        else:
-            if lemma is not None and lemma in getattr(lexicons, category):
-                return category
-    return None
-
-
 def extract_indicators(sentence: Sentence, lexicons: Lexicons | None = None) -> IndicatorProfile:
     """Per-category indicator hits for one sentence.
 
@@ -240,14 +242,14 @@ def extract_indicators(sentence: Sentence, lexicons: Lexicons | None = None) -> 
     count toward total_count.
     """
     lexicons = lexicons or default_lexicons()
-    profile = IndicatorProfile(sentence_id=sentence.id,
-                               hits={c: [] for c in CATEGORY_ORDER})
-    for token in tokenize(sentence.text):
-        category = _token_category(token, lexicons)
+    hits: dict[str, list[str]] = {c: [] for c in CATEGORY_ORDER}
+    tokens = tokenize(sentence.text)
+    for token in tokens:
+        category = lexicons.categories.get(token)
         if category is not None:
-            profile.hits[category].append(token)
-    profile.past_tense = detect_past_tense(sentence, lexicons)
-    return profile
+            hits[category].append(token)
+    return IndicatorProfile(sentence_id=sentence.id, hits=hits,
+                            past_tense=_past_tense(tokens, lexicons))
 
 
 def detect_past_tense(sentence: Sentence, lexicons: Lexicons | None = None) -> bool:
@@ -257,17 +259,17 @@ def detect_past_tense(sentence: Sentence, lexicons: Lexicons | None = None) -> b
     verb form decides by its tense tag, and an unknown -ed word that
     matches no lexicon decides past. No finite verb means False.
     """
-    lexicons = lexicons or default_lexicons()
-    for token in tokenize(sentence.text):
+    return _past_tense(tokenize(sentence.text), lexicons or default_lexicons())
+
+
+def _past_tense(tokens: Sequence[str], lexicons: Lexicons) -> bool:
+    for token in tokens:
         if token in lexicons.modal:
             return False
         tag = lexicons.tense.get(token)
         if tag is not None:
             return tag == "past"
-        if (token.endswith("ed") and len(token) > 4
-                and _token_category(token, lexicons) is None
-                and token not in lexicons.first_person
-                and token not in lexicons.future_temporal):
+        if token.endswith("ed") and len(token) > 4 and token not in lexicons.categories:
             return True
     return False
 

@@ -100,22 +100,40 @@ def _record_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def load_records(run_dir: str | Path) -> dict[str, dict]:
+# Decodes one JSON value at an index without json.loads' per-call checks.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _iter_records(run_dir: str | Path) -> Iterator[dict]:
+    """The records of a run's records.jsonl in file order, skipping blank
+    lines; a line that is not one JSON value raises DataError naming it."""
     path = Path(run_dir) / "records.jsonl"
-    records: dict[str, dict] = {}
-    if path.is_file():
-        with path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if line.strip():
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise DataError(
-                            f"{path}: line {line_no} is not a JSON record ({exc.msg}); "
-                            "if the run was interrupted, resuming it repairs the file"
-                        ) from exc
-                    records[rec["sentence_id"]] = rec
-    return records
+    if not path.is_file():
+        return
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                record, end = _scan_json(line, 0)
+                if end == len(line) or line[end:] == "\n":
+                    yield record
+                    continue
+            except (StopIteration, ValueError):
+                pass
+            # Padding, blank lines and malformed lines, as json.loads sees them.
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(
+                    f"{path}: line {line_no} is not a JSON record ({exc.msg}); "
+                    "if the run was interrupted, resuming it repairs the file"
+                ) from exc
+            yield record
+
+
+def load_records(run_dir: str | Path) -> dict[str, dict]:
+    return {record["sentence_id"]: record for record in _iter_records(run_dir)}
 
 
 def _truncate_torn_tail(path: Path) -> None:
@@ -140,7 +158,8 @@ def load_manifest(run_dir: str | Path) -> RunManifest:
 
 def load_predictions(run_dir: str | Path) -> dict[str, int | None]:
     """sentence id -> final label, None for schema failures."""
-    return {sid: rec["final_label"] for sid, rec in load_records(run_dir).items()}
+    return {record["sentence_id"]: record["final_label"]
+            for record in _iter_records(run_dir)}
 
 
 def _seed_for_batch(seed: int, batch: str) -> int:
