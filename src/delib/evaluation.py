@@ -62,6 +62,52 @@ def mcc_value(tp: int, fp: int, fn: int, tn: int) -> float:
     return (tp * tn - fp * fn) / math.sqrt(math.prod(float(f) for f in factors))
 
 
+def _tally_batches(
+    predictions: Mapping[str, int | None],
+    corpus: Corpus,
+    failures_as_negative: bool,
+) -> tuple[dict[str, list[int]], dict[str, tuple[int, str]]]:
+    """One pass over the corpus: per batch, its (tp, fp, fn, tn, schema
+    failure) counts and its first sentence without a prediction, as
+    (corpus position, id).
+    """
+    known = {s.id for s in corpus.sentences}
+    unknown = set(predictions) - known
+    if unknown:
+        raise DataError(f"predictions for unknown sentence ids: {sorted(unknown)[:5]}")
+    counts: dict[str, list[int]] = {}
+    gaps: dict[str, tuple[int, str]] = {}
+    for i, s in enumerate(corpus.sentences):
+        cells = counts.get(s.batch)
+        if cells is None:
+            cells = counts[s.batch] = [0, 0, 0, 0, 0]
+        if s.id not in predictions:
+            gaps.setdefault(s.batch, (i, s.id))
+            continue
+        pred = predictions[s.id]
+        if pred is None:
+            if not failures_as_negative:
+                cells[4] += 1
+                continue
+            pred = 0
+        if s.gold_label == 1:
+            cells[0 if pred == 1 else 2] += 1
+        else:
+            cells[1 if pred == 1 else 3] += 1
+    return counts, gaps
+
+
+def _pooled(counts: dict[str, list[int]], gaps: dict[str, tuple[int, str]],
+            batches: Iterable[str]) -> ConfusionMatrix:
+    """The matrix of the given batches from their tallies; DataError names
+    their first sentence without a prediction in corpus order."""
+    batches = [b for b in batches if b in counts]
+    gap = min((gaps[b] for b in batches if b in gaps), default=None)
+    if gap is not None:
+        raise DataError(f"no prediction for sentence {gap[1]}")
+    return ConfusionMatrix(*map(sum, zip(*(counts[b] for b in batches))))
+
+
 def confusion(
     predictions: Mapping[str, int | None],
     corpus: Corpus,
@@ -71,35 +117,8 @@ def confusion(
     """Tally gold vs predicted labels over the (optionally batch-filtered)
     corpus. None predictions are schema failures.
     """
-    known = {s.id for s in corpus.sentences}
-    unknown = set(predictions) - known
-    if unknown:
-        raise DataError(f"predictions for unknown sentence ids: {sorted(unknown)[:5]}")
-    scope = set(batches) if batches is not None else None
-    m = ConfusionMatrix()
-    for s in corpus.sentences:
-        if scope is not None and s.batch not in scope:
-            continue
-        if s.id not in predictions:
-            raise DataError(f"no prediction for sentence {s.id}")
-        pred = predictions[s.id]
-        if pred is None:
-            if failures_as_negative:
-                pred = 0
-            else:
-                m.n_schema_failures += 1
-                continue
-        if s.gold_label == 1:
-            if pred == 1:
-                m.tp += 1
-            else:
-                m.fn += 1
-        else:
-            if pred == 1:
-                m.fp += 1
-            else:
-                m.tn += 1
-    return m
+    counts, gaps = _tally_batches(predictions, corpus, failures_as_negative)
+    return _pooled(counts, gaps, counts if batches is None else set(batches))
 
 
 def metrics(matrix: ConfusionMatrix, scope: str = "ALL") -> MetricsReport:
@@ -123,14 +142,17 @@ def evaluate_run(
     scopes: Sequence[str] = ("ALL",),
     failures_as_negative: bool = False,
 ) -> list[MetricsReport]:
-    """One MetricsReport per scope; "ALL" pools every corpus batch."""
+    """One MetricsReport per scope; "ALL" pools every corpus batch. The
+    corpus is tallied once, per batch, for all the scopes."""
     reports = []
     present = set(corpus.batches())
+    tally = None
     for scope in scopes:
-        batches = None if scope == "ALL" else [scope]
         if scope != "ALL" and scope not in present:
             raise DataError(f"scope {scope!r} has zero sentences")
-        matrix = confusion(predictions, corpus, batches, failures_as_negative)
+        if tally is None:
+            tally = _tally_batches(predictions, corpus, failures_as_negative)
+        matrix = _pooled(*tally, present if scope == "ALL" else (scope,))
         if matrix.n_scored == 0 and matrix.n_schema_failures == 0:
             raise DataError(f"scope {scope!r} has zero sentences")
         reports.append(metrics(matrix, scope=scope))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
 import re
 import threading
 import time
@@ -64,7 +65,7 @@ class BackendConfig:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletionResult:
     text: str
     usage: dict | None = None
@@ -192,15 +193,13 @@ class ResponseCache:
 
 
 class _RateLimiter:
-    def __init__(self, per_minute: int | None, sleep: Callable[[float], None]):
+    def __init__(self, per_minute: int, sleep: Callable[[float], None]):
         self.per_minute = per_minute
         self.sleep = sleep
         self._stamps: list[float] = []
         self._lock = threading.Lock()
 
     def admit(self) -> None:
-        if self.per_minute is None:
-            return
         while True:
             with self._lock:
                 now = time.monotonic()
@@ -345,8 +344,14 @@ class ChatBackend:
         self.sleep = sleep
         self.backoff_base = backoff_base
         self.clock = clock
-        self._admission = threading.Semaphore(config.limits.max_in_flight)
-        self._rate = _RateLimiter(config.limits.requests_per_minute, sleep)
+        # one token per call allowed on the wire: taken before a transport
+        # call and returned after it, so a retry's backoff holds none. A
+        # SimpleQueue's get and put run in C; a Semaphore's run in Python.
+        self._admission = queue.SimpleQueue()
+        for _ in range(config.limits.max_in_flight):
+            self._admission.put(None)
+        self._rate = (_RateLimiter(config.limits.requests_per_minute, sleep)
+                      if config.limits.requests_per_minute is not None else None)
         self._keys = CacheKeys(config)
         self._recent = 0  # bit i: the (i+1)-th most recent transport call was slow
         self._recent_lock = threading.Lock()
@@ -379,18 +384,22 @@ class ChatBackend:
 
         last_error: Exception | None = None
         for attempt in range(self.config.limits.retry_budget + 1):
-            self._rate.admit()
-            with self._admission:
+            if attempt:
+                self.sleep(self.backoff_base * (2 ** (attempt - 1)))
+            if self._rate is not None:
+                self._rate.admit()
+            self._admission.get()
+            try:
                 sent = time.perf_counter()
                 try:
                     status, body = self.transport(messages)
                 except _Transient as exc:
                     self._note_call(time.perf_counter() - sent)
                     last_error = exc
-                    if attempt < self.config.limits.retry_budget:
-                        self.sleep(self.backoff_base * (2 ** attempt))
                     continue
                 self._note_call(time.perf_counter() - sent)
+            finally:
+                self._admission.put(None)
             try:
                 text = body["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError) as exc:

@@ -28,9 +28,11 @@ _LABEL_FIELD = {"SIMPLE": "deliberative", "COT": "deliberative",
                 "CRITIC": "suggestion", "JUDGE": "deliberative"}
 
 _FENCE = re.compile(r"^```[a-zA-Z]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
+# Decodes one JSON value at an index without json.loads' per-call checks.
+_scan_json = json.JSONDecoder().scan_once
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedPrediction:
     label: int
     step1: str | None = None
@@ -115,28 +117,35 @@ def parse_prediction(raw: str, expected_schema: str, repair_policy: str = LENIEN
     repairs: list[str] = []
 
     text = raw.strip()
-    obj = None
+    # text is stripped, so the scanner takes it whole exactly when
+    # json.loads(text) succeeds, and then decodes the same value
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        if lenient:
-            fenced = _FENCE.match(text)
-            if fenced:
-                repairs.append("fence-strip")
-                text = fenced.group(1).strip()
-                try:
-                    obj = json.loads(text)
-                except json.JSONDecodeError:
-                    obj = None
-            if obj is None:
-                candidate = _first_balanced_object(text)
-                if candidate is not None:
-                    if "object-extract" not in repairs:
-                        repairs.append("object-extract")
+        obj, end = _scan_json(text, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(text):
+        obj = None
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            if lenient:
+                fenced = _FENCE.match(text)
+                if fenced:
+                    repairs.append("fence-strip")
+                    text = fenced.group(1).strip()
                     try:
-                        obj = json.loads(candidate)
+                        obj = json.loads(text)
                     except json.JSONDecodeError:
                         obj = None
+                if obj is None:
+                    candidate = _first_balanced_object(text)
+                    if candidate is not None:
+                        if "object-extract" not in repairs:
+                            repairs.append("object-extract")
+                        try:
+                            obj = json.loads(candidate)
+                        except json.JSONDecodeError:
+                            obj = None
     if obj is None:
         raise SchemaError("no parsable JSON object in response", raw=raw)
     if not isinstance(obj, dict):
@@ -146,14 +155,18 @@ def parse_prediction(raw: str, expected_schema: str, repair_policy: str = LENIEN
     missing = [f for f in required if f not in obj]
     if missing:
         raise SchemaError(f"missing required fields: {', '.join(missing)}", raw=raw)
-    extra_fields = {k: v for k, v in obj.items() if k not in required}
-    if extra_fields and not lenient:
-        raise SchemaError(f"unexpected fields under STRICT: {sorted(extra_fields)}", raw=raw)
+    if len(obj) > len(required):
+        extra = {k: v for k, v in obj.items() if k not in required}
+        if not lenient:
+            raise SchemaError(f"unexpected fields under STRICT: {sorted(extra)}", raw=raw)
+    else:
+        extra = {}
 
-    label = _coerce_binary(obj[_LABEL_FIELD[expected_schema]], lenient, repairs)
+    label = obj[_LABEL_FIELD[expected_schema]]
+    if type(label) is not int or label not in (0, 1):
+        label = _coerce_binary(label, lenient, repairs)
 
     step1 = step2 = None
-    extra = dict(extra_fields)
     if expected_schema == "COT":
         step1, step2 = str(obj["step1"]), str(obj["step2"])
         if not step1.strip() or not step2.strip():

@@ -27,8 +27,8 @@ from .errors import DataError
 from .gateway import ChatBackend, Steps, classify, classify_steps
 # render_few_shot and render_cot_few_shot stay importable here for the same
 # reason; a run renders through the *_with forms and each batch's ExampleSet.
-from .prompting import (ERROR_BASED_VARIANTS, ExampleSet, Variant,
-                        build_error_pool, reasoned_examples, reasoned_examples_steps,
+from .prompting import (ERROR_BASED_VARIANTS, MULTI_AGENT_VARIANTS, ExampleSet,
+                        Variant, build_error_pool, reasoned_examples, reasoned_examples_steps,
                         render_cot, render_cot_few_shot, render_cot_few_shot_with,
                         render_few_shot, render_few_shot_with, render_zero_shot,
                         select_few_shot_examples)
@@ -96,8 +96,13 @@ def compute_run_id(variant: Variant, backend_digest: str, corpus_digest: str,
     return f"{variant.value.lower()}-{digest}"
 
 
+#: json.dumps(record, sort_keys=True, ensure_ascii=False) without building
+#: an encoder per call.
+_RECORD_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def _record_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+    return _RECORD_JSON.encode(record) + "\n"
 
 
 # Decodes one JSON value at an index without json.loads' per-call checks.
@@ -213,8 +218,8 @@ def run_variant(
     backend's max_in_flight), but records are written in scope order and
     are the same as when sentences are dispatched one at a time.
     """
-    scope = [s for s in corpus.sentences
-             if batches is None or s.batch in set(batches)]
+    wanted = None if batches is None else set(batches)
+    scope = [s for s in corpus.sentences if wanted is None or s.batch in wanted]
     if not scope:
         raise DataError("run scope contains no sentences")
     scope_batches = sorted({s.batch for s in scope})
@@ -230,7 +235,9 @@ def run_variant(
             raise DataError(f"zero-shot run at {zero_shot_run_dir} has no records")
 
     partial = len(scope_batches) < len(corpus.batches())
-    run_id = compute_run_id(variant, backend.config.digest(), corpus.digest(),
+    backend_digest = backend.config.digest()
+    corpus_digest = corpus.digest()
+    run_id = compute_run_id(variant, backend_digest, corpus_digest,
                             seed, k, templates.version, repair_policy,
                             scope_batches if partial else None)
     run_dir = Path(runs_dir) / run_id
@@ -241,9 +248,9 @@ def run_variant(
 
     manifest = RunManifest(
         run_id=run_id, variant=variant.value,
-        backend_digest=backend.config.digest(),
+        backend_digest=backend_digest,
         backend_name=backend.config.name,
-        corpus_digest=corpus.digest(), template_version=templates.version,
+        corpus_digest=corpus_digest, template_version=templates.version,
         seed=seed, k=k, batches=scope_batches, repair_policy=repair_policy,
         started_at=_now(), n_records=len(existing),
         schema_failures=sum(1 for r in existing.values() if r["final_label"] is None),
@@ -301,8 +308,7 @@ def _dispatch_steps(sentence, variant: Variant, example_set: ExampleSet | None,
     """Steps of one sentence under one variant; returns its record."""
     record: dict = {"sentence_id": sentence.id, "variant": variant.value}
 
-    if variant in (Variant.MULTI_AGENT, Variant.COT_MULTI_AGENT,
-                   Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT):
+    if variant in MULTI_AGENT_VARIANTS:
         try:
             if variant == Variant.MULTI_AGENT:
                 trace = yield from majority_vote_steps(sentence, templates, repair_policy)

@@ -268,3 +268,124 @@ class TestProperties:
         rep = metrics(ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn))
         assert min(rep.precision, rep.recall) - 1e-12 <= rep.f1
         assert rep.f1 <= max(rep.precision, rep.recall) + 1e-12
+
+
+def reference_confusion(predictions, corpus, batches=None, failures_as_negative=False):
+    """confusion as it was before the one-pass tally: a full corpus walk
+    per call."""
+    known = {s.id for s in corpus.sentences}
+    unknown = set(predictions) - known
+    if unknown:
+        raise DataError(f"predictions for unknown sentence ids: {sorted(unknown)[:5]}")
+    scope = set(batches) if batches is not None else None
+    m = ConfusionMatrix()
+    for s in corpus.sentences:
+        if scope is not None and s.batch not in scope:
+            continue
+        if s.id not in predictions:
+            raise DataError(f"no prediction for sentence {s.id}")
+        pred = predictions[s.id]
+        if pred is None:
+            if failures_as_negative:
+                pred = 0
+            else:
+                m.n_schema_failures += 1
+                continue
+        if s.gold_label == 1:
+            if pred == 1:
+                m.tp += 1
+            else:
+                m.fn += 1
+        else:
+            if pred == 1:
+                m.fp += 1
+            else:
+                m.tn += 1
+    return m
+
+
+def reference_evaluate_run(predictions, corpus, scopes=("ALL",), failures_as_negative=False):
+    """evaluate_run as it was: one reference_confusion per scope."""
+    reports = []
+    present = set(corpus.batches())
+    for scope in scopes:
+        batches = None if scope == "ALL" else [scope]
+        if scope != "ALL" and scope not in present:
+            raise DataError(f"scope {scope!r} has zero sentences")
+        matrix = reference_confusion(predictions, corpus, batches, failures_as_negative)
+        if matrix.n_scored == 0 and matrix.n_schema_failures == 0:
+            raise DataError(f"scope {scope!r} has zero sentences")
+        reports.append(metrics(matrix, scope=scope))
+    return reports
+
+
+def _reports_or_error(evaluate, *args):
+    try:
+        return [r.to_dict() for r in evaluate(*args)]
+    except DataError as exc:
+        return ("DataError", str(exc))
+
+
+@st.composite
+def _evaluation_case(draw):
+    n = draw(st.integers(0, 24))
+    rows = [(f"sentence number {i}", draw(st.sampled_from(["K1", "K2", "K3", "R4"])),
+             draw(st.integers(0, 1))) for i in range(n)]
+    corpus = build_corpus(rows)
+    gap_odds = draw(st.sampled_from([0, 0, 30, 5]))  # 1 in gap_odds predictions missing
+    predictions = {}
+    for s in corpus.sentences:
+        if gap_odds and draw(st.integers(1, gap_odds)) == 1:
+            continue
+        predictions[s.id] = draw(st.sampled_from([0, 1, None]))
+    if draw(st.integers(0, 9)) == 0:
+        predictions["not-a-sentence"] = 1
+    scopes = draw(st.lists(st.sampled_from(["ALL", "K1", "K2", "K3", "R4", "K9"]),
+                           max_size=5))
+    return corpus, predictions, scopes, draw(st.booleans())
+
+
+class TestOnePassEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_evaluation_case())
+    def test_matches_reference_and_per_scope_confusion(self, case):
+        corpus, predictions, scopes, as_negative = case
+        args = (predictions, corpus, scopes, as_negative)
+        outcome = _reports_or_error(evaluate_run, *args)
+        assert outcome == _reports_or_error(reference_evaluate_run, *args)
+        if isinstance(outcome, tuple):  # a DataError, checked above
+            return
+        for report in evaluate_run(*args):
+            batches = None if report.scope == "ALL" else [report.scope]
+            assert report.matrix == confusion(predictions, corpus, batches, as_negative)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_evaluation_case(),
+           batches=st.none() | st.lists(st.sampled_from(["K1", "K2", "K3", "R4", "K9"]),
+                                        max_size=3))
+    def test_confusion_matches_reference(self, case, batches):
+        corpus, predictions, _scopes, as_negative = case
+
+        def outcome(fn):
+            try:
+                return fn(predictions, corpus, batches, as_negative)
+            except DataError as exc:
+                return ("DataError", str(exc))
+        assert outcome(confusion) == outcome(reference_confusion)
+
+    def test_error_texts(self):
+        corpus = build_corpus([("a", "K1", 1), ("b", "K2", 0), ("c", "K2", 1)])
+        a, b, c = (s.id for s in corpus.sentences)
+        with pytest.raises(DataError, match=r"^scope 'K9' has zero sentences$"):
+            evaluate_run({"bogus": 1}, corpus, ("K9", "ALL"))
+        with pytest.raises(DataError, match=r"^predictions for unknown sentence ids: \['bogus'\]$"):
+            evaluate_run({"bogus": 1}, corpus, ("ALL", "K9"))
+        # the first gap of the scope asked for, not of the corpus
+        with pytest.raises(DataError, match=f"^no prediction for sentence {c}$"):
+            evaluate_run({b: 1}, corpus, ("K2", "ALL"))
+        with pytest.raises(DataError, match=f"^no prediction for sentence {a}$"):
+            evaluate_run({b: 1}, corpus, ("ALL", "K2"))
+        assert [r.scope for r in evaluate_run({a: 1}, corpus, ("K1",))] == ["K1"]
+        with pytest.raises(DataError, match=r"^scope 'ALL' has zero sentences$"):
+            evaluate_run({}, build_corpus([]), ("ALL",))
+        assert evaluate_run({"bogus": 1}, corpus, ()) == []

@@ -287,6 +287,42 @@ class TestConcurrency:
             t.join()
         assert peak <= 2
 
+    def test_backoff_does_not_hold_a_slot(self):
+        # A's first call fails and A then waits in its backoff; with the one
+        # slot of max_in_flight=1, B's call must reach the transport anyway.
+        in_backoff = threading.Event()
+        end_backoff = threading.Event()
+        b_sent = threading.Event()
+
+        def backoff(_seconds):
+            in_backoff.set()
+            end_backoff.wait(10)
+
+        def answer_b(_messages):
+            b_sent.set()
+            return '{"deliberative": 0}'
+
+        transport = ScriptedTransport([
+            MockRule(pattern=r"^A$", response='{"deliberative": 1}', faults=["HTTP 503"]),
+            MockRule(pattern=r"^B$", response=answer_b)])
+        config = BackendConfig(name="mock", model="m", limits=Limits(max_in_flight=1))
+        backend = ChatBackend(config, transport=transport, sleep=backoff)
+        a = threading.Thread(target=backend.complete,
+                             args=([{"role": "user", "content": "A"}],))
+        b = threading.Thread(target=backend.complete,
+                             args=([{"role": "user", "content": "B"}],))
+        a.start()
+        backing_off = in_backoff.wait(5)
+        b.start()
+        reached = b_sent.wait(2)  # every wait is bounded: the old code fails, not hangs
+        end_backoff.set()
+        a.join(5)
+        b.join(5)
+        assert backing_off
+        assert not a.is_alive() and not b.is_alive()
+        assert reached, "B waited for A's backoff to end"
+        assert transport.calls == 3
+
     def test_rate_limiter_blocks_past_quota(self):
         waits = []
 

@@ -1,11 +1,13 @@
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delib.errors import SchemaError
-from delib.parsing import LENIENT, STRICT, ParsedPrediction, parse_prediction
+from delib.parsing import (_LABEL_FIELD, LENIENT, SCHEMA_FIELDS, STRICT, ParsedPrediction,
+                           _coerce_binary, _first_balanced_object, parse_prediction)
 
 
 class TestSimpleSchema:
@@ -141,3 +143,154 @@ class TestRoundTrip:
         body = json.dumps({"deliberative": label})
         raw = prefix.replace("{", "").replace("}", "") + body + suffix
         assert parse_prediction(raw, "SIMPLE", LENIENT).label == label
+
+
+# -- equivalence with the json.loads-first implementation -----------------
+
+_REF_FENCE = re.compile(r"^```[a-zA-Z]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
+
+
+def reference_parse(raw, expected_schema, repair_policy=LENIENT):
+    """parse_prediction as it was before the scanner fast path: json.loads,
+    then fence strip, then the first balanced object. Returns the fields of
+    the ParsedPrediction."""
+    if expected_schema not in SCHEMA_FIELDS:
+        raise SchemaError(f"unknown schema tag: {expected_schema!r}")
+    lenient = repair_policy == LENIENT
+    repairs = []
+
+    text = raw.strip()
+    obj = None
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        if lenient:
+            fenced = _REF_FENCE.match(text)
+            if fenced:
+                repairs.append("fence-strip")
+                text = fenced.group(1).strip()
+                try:
+                    obj = json.loads(text)
+                except json.JSONDecodeError:
+                    obj = None
+            if obj is None:
+                candidate = _first_balanced_object(text)
+                if candidate is not None:
+                    if "object-extract" not in repairs:
+                        repairs.append("object-extract")
+                    try:
+                        obj = json.loads(candidate)
+                    except json.JSONDecodeError:
+                        obj = None
+    if obj is None:
+        raise SchemaError("no parsable JSON object in response", raw=raw)
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected a JSON object, got {type(obj).__name__}", raw=raw)
+
+    required = SCHEMA_FIELDS[expected_schema]
+    missing = [f for f in required if f not in obj]
+    if missing:
+        raise SchemaError(f"missing required fields: {', '.join(missing)}", raw=raw)
+    extra_fields = {k: v for k, v in obj.items() if k not in required}
+    if extra_fields and not lenient:
+        raise SchemaError(f"unexpected fields under STRICT: {sorted(extra_fields)}", raw=raw)
+
+    label = _coerce_binary(obj[_LABEL_FIELD[expected_schema]], lenient, repairs)
+
+    step1 = step2 = None
+    extra = dict(extra_fields)
+    if expected_schema == "COT":
+        step1, step2 = str(obj["step1"]), str(obj["step2"])
+        if not step1.strip() or not step2.strip():
+            raise SchemaError("empty step1/step2 in COT response", raw=raw)
+    elif expected_schema == "CRITIC":
+        assessment = str(obj["assessment"]).strip().lower()
+        if assessment not in ("sound", "flawed"):
+            raise SchemaError(f"invalid assessment: {obj['assessment']!r}", raw=raw)
+        extra["assessment"] = assessment
+        extra["issues"] = str(obj["issues"])
+    elif expected_schema == "JUDGE":
+        rationale = str(obj["rationale"])
+        if not rationale.strip():
+            raise SchemaError("empty judge rationale", raw=raw)
+        extra["rationale"] = rationale
+
+    return dict(label=label, step1=step1, step2=step2, extra=extra, raw=raw,
+                repairs=repairs)
+
+
+def _outcome(parse, raw, schema, policy):
+    try:
+        result = parse(raw, schema, policy)
+    except SchemaError as exc:
+        return ("SchemaError", exc.reason, exc.raw)
+    if isinstance(result, ParsedPrediction):
+        result = dict(label=result.label, step1=result.step1, step2=result.step2,
+                      extra=result.extra, raw=result.raw, repairs=result.repairs)
+    # type() too: a bool label must not pass for an int one
+    return ("ok", type(result["label"]), result)
+
+
+_PADDING = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000\ufeff"),
+                   max_size=4)
+_STEP = st.one_of(st.text(max_size=12), st.sampled_from(["", "   ", "a } b", 'q "x" {y}']),
+                  st.integers(0, 3), st.none())
+_LABEL = st.one_of(st.sampled_from([0, 1]), st.booleans(),
+                   st.sampled_from(["0", "1", " 1 ", "yes", ""]),
+                   st.sampled_from([0.0, 1.0, 0.5, -0.0]), st.integers(-2, 3), st.none())
+_FIELD_VALUES = {
+    "deliberative": _LABEL, "suggestion": _LABEL,
+    "step1": _STEP, "step2": _STEP, "issues": _STEP, "rationale": _STEP,
+    "assessment": st.sampled_from(["sound", "Flawed ", "SOUND", "fine", ""]),
+}
+
+
+@st.composite
+def _response(draw):
+    schema = draw(st.sampled_from(sorted(SCHEMA_FIELDS)))
+    fields = [f for f in SCHEMA_FIELDS[schema] if draw(st.integers(0, 9)) > 0]
+    obj = {f: draw(_FIELD_VALUES[f]) for f in fields}
+    for name in draw(st.lists(st.sampled_from(["note", "confidence", "deliberative",
+                                               "step1", "é"]), max_size=2)):
+        obj.setdefault(name, draw(_STEP))
+    body = json.dumps(obj, ensure_ascii=draw(st.booleans()),
+                      indent=draw(st.sampled_from([None, None, 2])))
+    shape = draw(st.sampled_from(["clean", "fenced", "prose", "garbage", "two",
+                                  "non-object", "raw-text"]))
+    if shape == "fenced":
+        body = "```" + draw(st.sampled_from(["json", "", "JSON"])) + "\n" + body + "\n```"
+    elif shape == "prose":
+        body = (draw(st.sampled_from(["Sure: ", "Answer {", "x } ", ""])) + body
+                + draw(st.sampled_from([" hope that helps", " }", "", "."])))
+    elif shape == "garbage":
+        body += draw(st.sampled_from(["x", "}", "]", " trailing", ","]))
+    elif shape == "two":
+        body += draw(st.sampled_from(["", " ", "\n"])) + body
+    elif shape == "non-object":
+        body = draw(st.sampled_from(["null", "[]", "3", '"text"', "true", "[{}]",
+                                    '[{"deliberative": 1}]', "NaN"]))
+    elif shape == "raw-text":
+        body = draw(st.text(max_size=30))
+    raw = draw(_PADDING) + body + draw(_PADDING)
+    return raw, schema, draw(st.sampled_from([STRICT, LENIENT]))
+
+
+class TestScannerEquivalence:
+    @settings(max_examples=600, deadline=None)
+    @given(case=_response())
+    def test_matches_reference(self, case):
+        raw, schema, policy = case
+        assert _outcome(parse_prediction, raw, schema, policy) == \
+            _outcome(reference_parse, raw, schema, policy)
+
+    @pytest.mark.parametrize("raw", [
+        '{"deliberative": 1}', ' \u3000{"deliberative": 0}\n', '\ufeff{"deliberative": 1}',
+        'null', '[]', '3', '{"deliberative": 1} x', '{"deliberative": 1}{"deliberative": 0}',
+        '{"deliberative": true}', '{"deliberative": "1"}', '{"deliberative": 1.0}',
+        '{"deliberative": 1, "note": "é"}', '```json\n{"deliberative": 0}\n```',
+        'Sure: {"deliberative": 1} thanks', '{"deliberative": 2}', '',
+    ])
+    @pytest.mark.parametrize("policy", [STRICT, LENIENT])
+    def test_fixed_cases(self, raw, policy):
+        assert _outcome(parse_prediction, raw, "SIMPLE", policy) == \
+            _outcome(reference_parse, raw, "SIMPLE", policy)

@@ -7,7 +7,7 @@ import pytest
 from delib.errors import DataError
 from delib.gateway import ResponseCache, mock_backend
 from delib.prompting import Variant
-from delib.runner import (GRID_ORDER, compute_run_id, load_manifest,
+from delib.runner import (GRID_ORDER, _record_line, compute_run_id, load_manifest,
                           load_predictions, load_records, run_grid,
                           run_variant)
 from delib.templates import TemplateSet
@@ -280,6 +280,28 @@ class TestRecordFiles:
         rec = json.loads(line)
         assert list(rec) == sorted(rec)
         assert json.dumps(rec, sort_keys=True, ensure_ascii=False) == line
+
+    def test_record_line_matches_json_dumps(self):
+        record = {
+            "sentence_id": "3f2a9c", "variant": "COT_MULTI_AGENT",
+            "run_id": "cot_multi_agent-0a1b", "final_label": 1,
+            "trace": {"resolution": "JUDGE_DECIDED", "final_label": 1, "steps": [
+                {"role": "PREDICTOR", "label": 0, "cached": 1, "repairs": ["fence-strip"],
+                 "raw_digest": "ab12", "step1": "Le comité « décidera » — 2026 ✓",
+                 "step2": 'quote " backslash \\ tab \t newline \n \u2028 😀'},
+                {"role": "CRITIC", "label": 1, "assessment": "flawed", "issues": "ß≠ss",
+                 "failure": None, "latency_ms": 0}]},
+        }
+        line = _record_line(record)
+        assert line == json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+        assert line == (
+            '{"final_label": 1, "run_id": "cot_multi_agent-0a1b", "sentence_id": "3f2a9c", '
+            '"trace": {"final_label": 1, "resolution": "JUDGE_DECIDED", "steps": [{"cached": 1, '
+            '"label": 0, "raw_digest": "ab12", "repairs": ["fence-strip"], "role": "PREDICTOR", '
+            '"step1": "Le comité « décidera » — 2026 ✓", "step2": "quote \\" backslash '
+            '\\\\ tab \\t newline \\n \u2028 😀"}, {"assessment": "flawed", '
+            '"failure": null, "issues": "ß≠ss", "label": 1, "latency_ms": 0, "role": "CRITIC"}]}, '
+            '"variant": "COT_MULTI_AGENT"}\n')
 
     def test_load_predictions_maps_failures(self, tmp_path):
         corpus = build_corpus([("ok", "K1", 1), ("bad bad", "K1", 0)])
