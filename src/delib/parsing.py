@@ -28,8 +28,8 @@ _LABEL_FIELD = {"SIMPLE": "deliberative", "COT": "deliberative",
                 "CRITIC": "suggestion", "JUDGE": "deliberative"}
 
 _FENCE = re.compile(r"^```[a-zA-Z]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
-# Decodes one JSON value at an index without json.loads' per-call checks.
-_scan_json = json.JSONDecoder().scan_once
+#: Decodes one JSON value at an index without json.loads' per-call checks.
+scan_json = json.JSONDecoder().scan_once
 
 
 @dataclass(slots=True)
@@ -120,32 +120,29 @@ def parse_prediction(raw: str, expected_schema: str, repair_policy: str = LENIEN
     # text is stripped, so the scanner takes it whole exactly when
     # json.loads(text) succeeds, and then decodes the same value
     try:
-        obj, end = _scan_json(text, 0)
+        obj, end = scan_json(text, 0)
     except (StopIteration, ValueError):
         end = -1
     if end != len(text):
         obj = None
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
-            if lenient:
-                fenced = _FENCE.match(text)
-                if fenced:
-                    repairs.append("fence-strip")
-                    text = fenced.group(1).strip()
+        if lenient:
+            fenced = _FENCE.match(text)
+            if fenced:
+                repairs.append("fence-strip")
+                text = fenced.group(1).strip()
+                try:
+                    obj = json.loads(text)
+                except json.JSONDecodeError:
+                    obj = None
+            if obj is None:
+                candidate = _first_balanced_object(text)
+                if candidate is not None:
+                    if "object-extract" not in repairs:
+                        repairs.append("object-extract")
                     try:
-                        obj = json.loads(text)
+                        obj = json.loads(candidate)
                     except json.JSONDecodeError:
                         obj = None
-                if obj is None:
-                    candidate = _first_balanced_object(text)
-                    if candidate is not None:
-                        if "object-extract" not in repairs:
-                            repairs.append("object-extract")
-                        try:
-                            obj = json.loads(candidate)
-                        except json.JSONDecodeError:
-                            obj = None
     if obj is None:
         raise SchemaError("no parsable JSON object in response", raw=raw)
     if not isinstance(obj, dict):
@@ -162,9 +159,7 @@ def parse_prediction(raw: str, expected_schema: str, repair_policy: str = LENIEN
     else:
         extra = {}
 
-    label = obj[_LABEL_FIELD[expected_schema]]
-    if type(label) is not int or label not in (0, 1):
-        label = _coerce_binary(label, lenient, repairs)
+    label = _coerce_binary(obj[_LABEL_FIELD[expected_schema]], lenient, repairs)
 
     step1 = step2 = None
     if expected_schema == "COT":

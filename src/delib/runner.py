@@ -25,6 +25,7 @@ from .corpus import Corpus
 from .dispatch import run_window
 from .errors import DataError
 from .gateway import ChatBackend, Steps, classify, classify_steps
+from .parsing import scan_json
 # render_few_shot and render_cot_few_shot stay importable here for the same
 # reason; a run renders through the *_with forms and each batch's ExampleSet.
 from .prompting import (ERROR_BASED_VARIANTS, MULTI_AGENT_VARIANTS, ExampleSet,
@@ -105,10 +106,6 @@ def _record_line(record: dict) -> str:
     return _RECORD_JSON.encode(record) + "\n"
 
 
-# Decodes one JSON value at an index without json.loads' per-call checks.
-_scan_json = json.JSONDecoder().scan_once
-
-
 def _iter_records(run_dir: str | Path) -> Iterator[dict]:
     """The records of a run's records.jsonl in file order, skipping blank
     lines; a line that is not one JSON value raises DataError naming it."""
@@ -118,7 +115,7 @@ def _iter_records(run_dir: str | Path) -> Iterator[dict]:
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             try:
-                record, end = _scan_json(line, 0)
+                record, end = scan_json(line, 0)
                 if end == len(line) or line[end:] == "\n":
                     yield record
                     continue
