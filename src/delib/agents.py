@@ -9,11 +9,11 @@ from typing import Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import DataError
-# classify and render_cot_few_shot stay importable here: perfbench/tracing.py
+# classify and the render_* functions stay importable here: perfbench/tracing.py
 # wraps them by these names.
 from .gateway import ChatBackend, Steps, classify, classify_steps, drive
-from .prompting import (Example, ExampleSet, PromptBundle, Variant, render_cot,
-                        render_cot_few_shot, render_cot_few_shot_with, render_zero_shot)
+from .prompting import (VARIANTS, Example, ExampleSet, PromptBundle, Variant, render_cot,
+                        render_cot_few_shot, render_zero_shot)
 from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 log = logging.getLogger(__name__)
@@ -137,12 +137,13 @@ def _agent_step(role: str, bundle: PromptBundle, repair_policy: str) -> Steps:
 
 
 def majority_vote_steps(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES,
-                        repair_policy: str = "LENIENT") -> Steps:
-    """Step generator for run_majority_vote(); returns the AgentTrace."""
+                        repair_policy: str = "LENIENT",
+                        first: PromptBundle | None = None) -> Steps:
+    """Step generator for run_majority_vote(); returns the AgentTrace.
+    first is the first vote's prompt, by default the zero-shot one."""
     step1, pred1 = yield from _agent_step(
-        PREDICTOR, render_zero_shot(sentence, templates), repair_policy)
+        PREDICTOR, first or render_zero_shot(sentence, templates), repair_policy)
     second_bundle = PromptBundle(
-        variant=Variant.MULTI_AGENT,
         system=templates.render("vote_second.system"),
         user=templates.render("vote_second.user", sentence=sentence.text,
                               first_label=pred1.label),
@@ -152,7 +153,6 @@ def majority_vote_steps(sentence: Sentence, templates: TemplateSet = DEFAULT_TEM
         return AgentTrace(sentence_id=sentence.id, steps=[step1, step2],
                           final_label=pred1.label, resolution=AGREEMENT)
     tiebreak_bundle = PromptBundle(
-        variant=Variant.MULTI_AGENT,
         system=templates.render("vote_tiebreak.system"),
         user=templates.render("vote_tiebreak.user", sentence=sentence.text,
                               first_label=pred1.label, second_label=pred2.label),
@@ -171,27 +171,16 @@ def run_majority_vote(sentence: Sentence, backend: ChatBackend,
 
 def predictor_critic_judge_steps(
     sentence: Sentence,
-    predictor_variant: Variant = Variant.COT,
-    example_set: ExampleSet | None = None,
     templates: TemplateSet = DEFAULT_TEMPLATES,
     repair_policy: str = "LENIENT",
+    first: PromptBundle | None = None,
 ) -> Steps:
     """Step generator for run_predictor_critic_judge(); returns the AgentTrace.
-    example_set holds the reasoned examples (ExampleSet.cot) of a
-    COT_FEW_SHOT_ERROR predictor."""
-    if predictor_variant == Variant.COT_FEW_SHOT_ERROR:
-        if example_set is None or not example_set.examples:
-            raise DataError("predictor variant requires reasoned examples")
-        predictor_bundle = render_cot_few_shot_with(sentence, example_set, templates)
-    elif predictor_variant == Variant.COT:
-        predictor_bundle = render_cot(sentence, templates)
-    else:
-        raise DataError(f"unsupported predictor variant: {predictor_variant}")
-
+    first is the predictor's prompt, by default the CoT one."""
+    predictor_bundle = first or render_cot(sentence, templates)
     step_p, pred = yield from _agent_step(PREDICTOR, predictor_bundle, repair_policy)
 
     critic_bundle = PromptBundle(
-        variant=Variant.COT_MULTI_AGENT,
         system=templates.render("critic.system"),
         user=templates.render("critic.user", sentence=sentence.text,
                               step1=pred.step1, step2=pred.step2,
@@ -216,7 +205,6 @@ def predictor_critic_judge_steps(
                           final_label=pred.label, resolution=CRITIC_ACCEPTED)
 
     judge_bundle = PromptBundle(
-        variant=Variant.COT_MULTI_AGENT,
         system=templates.render("judge.system"),
         user=templates.render("judge.user", sentence=sentence.text,
                               step1=pred.step1, step2=pred.step2,
@@ -238,11 +226,27 @@ def run_predictor_critic_judge(
     templates: TemplateSet = DEFAULT_TEMPLATES,
     repair_policy: str = "LENIENT",
 ) -> AgentTrace:
-    """CoT predictor, critic review, judge only on disagreement."""
-    example_set = (ExampleSet.cot(examples, templates)
-                   if examples and predictor_variant == Variant.COT_FEW_SHOT_ERROR else None)
-    return drive(predictor_critic_judge_steps(sentence, predictor_variant, example_set,
-                                              templates, repair_policy), backend.complete)
+    """CoT predictor, critic review, judge only on disagreement.
+
+    predictor_variant is a single-agent variant whose prompt starts a
+    predictor-critic-judge variant in VARIANTS; examples are the reasoned
+    examples of a variant with an example pool."""
+    spec = VARIANTS[predictor_variant]
+    if spec.agents or not any(s.agents == "critic" and s.prompt is spec.prompt
+                              for s in VARIANTS.values()):
+        raise DataError(f"unsupported predictor variant: {predictor_variant}")
+    example_set = None
+    if spec.examples:
+        if not examples:
+            raise DataError("predictor variant requires reasoned examples")
+        example_set = ExampleSet.cot(examples, templates)
+    predictor = spec.prompt(sentence, example_set, templates)
+    return drive(predictor_critic_judge_steps(sentence, templates, repair_policy, predictor),
+                 backend.complete)
+
+
+#: The step generator of each VariantSpec.agents orchestration.
+ORCHESTRATIONS = {"vote": majority_vote_steps, "critic": predictor_critic_judge_steps}
 
 
 def analyze_disagreements(traces: Sequence[AgentTrace], corpus: Corpus) -> DisagreementReport:

@@ -224,6 +224,7 @@ def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
             indicators.occurrence_csv(occurrence), encoding="utf-8")
         (out / "cooccurrence.csv").write_text(
             indicators.cooccurrence_csv(cooccurrence), encoding="utf-8")
+        (out / "pairs.csv").write_text(indicators.pairs_csv(cooccurrence), encoding="utf-8")
         (out / "verbs.csv").write_text(indicators.verbs_csv(verbs), encoding="utf-8")
         with (out / "example_sentences.csv").open("w", encoding="utf-8") as fh:
             fh.write("unique_indicators,gold_label,text\n")

@@ -244,10 +244,16 @@ def stats_table(stats: list[BatchStats]) -> str:
     return "\n".join(lines)
 
 
-def stats_csv(stats: list[BatchStats]) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV document: the header row, then the rows, each ended by "\n"."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["batch", "n_sentences", "n_ad", "ad_fraction"])
-    for st in stats:
-        writer.writerow([st.batch, st.n_sentences, st.n_ad, f"{st.ad_fraction:.6f}"])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def stats_csv(stats: list[BatchStats]) -> str:
+    return csv_text(["batch", "n_sentences", "n_ad", "ad_fraction"],
+                    ([st.batch, st.n_sentences, st.n_ad, f"{st.ad_fraction:.6f}"]
+                     for st in stats))

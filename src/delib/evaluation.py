@@ -6,13 +6,11 @@ alternative convention of scoring them as negative predictions.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, csv_text
 from .errors import DataError
 
 
@@ -213,30 +211,20 @@ def comparison_text(rows: Sequence[ComparisonRow]) -> str:
 
 
 def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["group", "run"] + [c for c in _COLUMNS]
-                    + [f"best_{c}" for c in _COLUMNS])
-    for row in rows:
-        writer.writerow(
-            [row.group, row.label]
-            + [f"{getattr(row.report, c):.6f}" for c in _COLUMNS]
-            + [int(c in row.best) for c in _COLUMNS])
-    return out.getvalue()
+    return csv_text(
+        ["group", "run", *_COLUMNS] + [f"best_{c}" for c in _COLUMNS],
+        ([row.group, row.label]
+         + [f"{getattr(row.report, c):.6f}" for c in _COLUMNS]
+         + [int(c in row.best) for c in _COLUMNS] for row in rows))
 
 
 def per_batch_series_csv(
     per_run_reports: Mapping[str, Sequence[MetricsReport]],
 ) -> str:
     """Figure-style CSV series: per-run, per-batch precision and recall."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["run", "batch", "precision", "recall"])
-    for label, reps in per_run_reports.items():
-        for rep in reps:
-            writer.writerow([label, rep.scope,
-                             f"{rep.precision:.6f}", f"{rep.recall:.6f}"])
-    return out.getvalue()
+    return csv_text(["run", "batch", "precision", "recall"],
+                    ([label, rep.scope, f"{rep.precision:.6f}", f"{rep.recall:.6f}"]
+                     for label, reps in per_run_reports.items() for rep in reps))
 
 
 def metrics_text(reports: Sequence[MetricsReport]) -> str:
@@ -252,12 +240,9 @@ def metrics_text(reports: Sequence[MetricsReport]) -> str:
 
 
 def metrics_csv(reports: Sequence[MetricsReport]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["scope", "tp", "fp", "fn", "tn", "n_schema_failures",
-                     "precision", "recall", "f1", "f2", "mcc"])
-    for rep in reports:
-        m = rep.matrix
-        writer.writerow([rep.scope, m.tp, m.fp, m.fn, m.tn, m.n_schema_failures]
-                        + [f"{getattr(rep, c):.6f}" for c in _COLUMNS])
-    return out.getvalue()
+    return csv_text(
+        ["scope", "tp", "fp", "fn", "tn", "n_schema_failures",
+         "precision", "recall", "f1", "f2", "mcc"],
+        ([rep.scope, rep.matrix.tp, rep.matrix.fp, rep.matrix.fn, rep.matrix.tn,
+          rep.matrix.n_schema_failures] + [f"{getattr(rep, c):.6f}" for c in _COLUMNS]
+         for rep in reports))

@@ -11,15 +11,13 @@ documented approximation.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus, Sentence, csv_text
 from .errors import ConfigError, DataError
 
 _BUNDLED = Path(__file__).parent / "lexicons"
@@ -386,32 +384,27 @@ def verb_frequency(ids: Iterable[str], corpus: Corpus,
 
 
 def occurrence_csv(tables: Mapping[str, dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["set", "n"] + list(CATEGORY_ORDER) + ["past_tense"])
-    for name, table in tables.items():
-        writer.writerow([name, table["n"]]
-                        + [f"{table[c]:.4f}" for c in CATEGORY_ORDER]
-                        + [f"{table['past_tense']:.4f}"])
-    return out.getvalue()
+    return csv_text(["set", "n", *CATEGORY_ORDER, "past_tense"],
+                    ([name, table["n"]] + [f"{table[c]:.4f}" for c in CATEGORY_ORDER]
+                     + [f"{table['past_tense']:.4f}"] for name, table in tables.items()))
 
 
 def cooccurrence_csv(stats: Mapping[str, dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["set", "n", "median_unique", "median_total",
-                     "share_2plus", "share_zero"])
-    for name, st in stats.items():
-        writer.writerow([name, st["n"], st["median_unique"], st["median_total"],
-                         f"{st['share_2plus']:.4f}", f"{st['share_zero']:.4f}"])
-    return out.getvalue()
+    return csv_text(["set", "n", "median_unique", "median_total", "share_2plus", "share_zero"],
+                    ([name, st["n"], st["median_unique"], st["median_total"],
+                      f"{st['share_2plus']:.4f}", f"{st['share_zero']:.4f}"]
+                     for name, st in stats.items()))
+
+
+def pairs_csv(stats: Mapping[str, dict]) -> str:
+    """The most frequent indicator-category pairs of each set, with each
+    pair's share of the set's sentences."""
+    return csv_text(["set", "first", "second", "count", "share"],
+                    ([name, *p["pair"], p["count"], f"{p['count'] / st['n']:.4f}"]
+                     for name, st in stats.items() for p in st["top_pairs"]))
 
 
 def verbs_csv(tables: Mapping[str, list[tuple[str, float]]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["set", "lemma", "share_of_sentences"])
-    for name, rows in tables.items():
-        for lemma, share in rows:
-            writer.writerow([name, lemma, f"{share:.4f}"])
-    return out.getvalue()
+    return csv_text(["set", "lemma", "share_of_sentences"],
+                    ([name, lemma, f"{share:.4f}"]
+                     for name, rows in tables.items() for lemma, share in rows))

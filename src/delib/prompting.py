@@ -1,4 +1,4 @@
-"""Prompt rendering for the single-agent variants and example selection."""
+"""The prompting variants, their prompt rendering and example selection."""
 from __future__ import annotations
 
 import hashlib
@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import DataError
@@ -24,23 +24,8 @@ class Variant(str, Enum):
     COT_FEW_SHOT_ERROR_MULTI_AGENT = "COT_FEW_SHOT_ERROR_MULTI_AGENT"
 
 
-#: Variants whose example pool is built from zero-shot mistakes.
-ERROR_BASED_VARIANTS = frozenset({
-    Variant.FEW_SHOT_ERROR,
-    Variant.COT_FEW_SHOT_ERROR,
-    Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT,
-})
-
-MULTI_AGENT_VARIANTS = frozenset({
-    Variant.MULTI_AGENT,
-    Variant.COT_MULTI_AGENT,
-    Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT,
-})
-
-
 @dataclass(frozen=True)
 class PromptBundle:
-    variant: Variant
     system: str
     user: str
     expected_schema: str
@@ -64,7 +49,6 @@ def _label_name(label: int) -> str:
 
 def render_zero_shot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
     return PromptBundle(
-        variant=Variant.ZERO_SHOT,
         system=templates.render("zero_shot.system"),
         user=templates.render("zero_shot.user", sentence=sentence.text),
         expected_schema="SIMPLE",
@@ -113,7 +97,6 @@ def render_few_shot_with(sentence: Sentence, example_set: ExampleSet,
         raise DataError("render_few_shot: no examples supplied")
     _check_examples(sentence, example_set.examples)
     return PromptBundle(
-        variant=Variant.FEW_SHOT,
         system=templates.render("few_shot.system"),
         user=templates.render("few_shot.user", examples=example_set.block,
                               sentence=sentence.text),
@@ -124,7 +107,6 @@ def render_few_shot_with(sentence: Sentence, example_set: ExampleSet,
 
 def render_cot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
     return PromptBundle(
-        variant=Variant.COT,
         system=templates.render("cot.system"),
         user=templates.render("cot.user", sentence=sentence.text),
         expected_schema="COT",
@@ -144,7 +126,6 @@ def render_cot_few_shot_with(sentence: Sentence, example_set: ExampleSet,
         raise DataError("render_cot_few_shot: no examples supplied")
     _check_examples(sentence, example_set.examples)
     return PromptBundle(
-        variant=Variant.COT_FEW_SHOT_ERROR,
         system=templates.render("cot.system"),
         user=templates.render("cot_few_shot.user", examples=example_set.block,
                               sentence=sentence.text),
@@ -160,16 +141,69 @@ def _check_examples(sentence: Sentence, examples: Sequence[Example]) -> None:
                 f"example {ex.sentence.id} comes from the target batch {sentence.batch}")
 
 
-def eligible_pool(corpus: Corpus, target_batch: str) -> list[Example]:
-    return [Example(sentence=s, gold_label=s.gold_label)
-            for s in corpus.sentences if s.batch != target_batch]
+def _zero_shot_prompt(sentence: Sentence, _example_set: ExampleSet | None,
+                      templates: TemplateSet) -> PromptBundle:
+    return render_zero_shot(sentence, templates)
 
 
-def iter_shuffled_pool(pool: Sequence[Example], seed: int) -> Iterator[Example]:
-    """Seeded uniform shuffle of the candidate pool, yielded lazily."""
-    order = list(pool)
-    random.Random(seed).shuffle(order)
-    return iter(order)
+def _cot_prompt(sentence: Sentence, _example_set: ExampleSet | None,
+                templates: TemplateSet) -> PromptBundle:
+    return render_cot(sentence, templates)
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """What a prompting variant does for one sentence.
+
+    prompt renders the single agent's prompt, or the first agent's, from
+    (sentence, example_set, templates); example_set is None without a pool.
+    examples is the few-shot pool of each target batch: None, "random",
+    "error" (the zero-shot run's mistakes) or "reasoned_error" (those with
+    generated CoT reasoning). agents is the orchestration: None for a single
+    agent, "vote" (majority vote) or "critic" (predictor-critic-judge).
+    """
+    prompt: Callable[[Sentence, ExampleSet | None, TemplateSet], PromptBundle]
+    examples: Literal["random", "error", "reasoned_error"] | None = None
+    agents: Literal["vote", "critic"] | None = None
+
+    @property
+    def needs_zero_shot(self) -> bool:
+        """The example pool is built from a zero-shot run's predictions."""
+        return self.examples in ("error", "reasoned_error")
+
+
+#: One spec per variant, in dependency order: ZERO_SHOT comes before every
+#: variant that needs a zero-shot run.
+VARIANTS: dict[Variant, VariantSpec] = {
+    Variant.ZERO_SHOT: VariantSpec(_zero_shot_prompt),
+    Variant.FEW_SHOT: VariantSpec(render_few_shot_with, examples="random"),
+    Variant.FEW_SHOT_ERROR: VariantSpec(render_few_shot_with, examples="error"),
+    Variant.COT: VariantSpec(_cot_prompt),
+    Variant.COT_FEW_SHOT_ERROR: VariantSpec(render_cot_few_shot_with,
+                                            examples="reasoned_error"),
+    Variant.MULTI_AGENT: VariantSpec(_zero_shot_prompt, agents="vote"),
+    Variant.COT_MULTI_AGENT: VariantSpec(_cot_prompt, agents="critic"),
+    Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT: VariantSpec(
+        render_cot_few_shot_with, examples="reasoned_error", agents="critic"),
+}
+
+
+def _shuffled_candidates(corpus: Corpus, target_batch: str, k: int, seed: int,
+                         pool: Sequence[Example] | None) -> list[Example]:
+    """The candidates from batches other than the target, in seeded order:
+    the whole corpus for pool=None, else the prebuilt pool (e.g. the error
+    pool). Fewer than k raises DataError."""
+    if pool is None:
+        candidates = [Example(sentence=s, gold_label=s.gold_label)
+                      for s in corpus.sentences if s.batch != target_batch]
+    else:
+        candidates = [ex for ex in pool if ex.sentence.batch != target_batch]
+    if len(candidates) < k:
+        raise DataError(
+            f"insufficient example pool for batch {target_batch}: "
+            f"need {k}, have {len(candidates)}")
+    random.Random(seed).shuffle(candidates)
+    return candidates
 
 
 def select_few_shot_examples(
@@ -185,14 +219,7 @@ def select_few_shot_examples(
     pool=None draws from the whole corpus; otherwise pool is a prebuilt
     candidate list (e.g. the error pool), filtered to non-target batches.
     """
-    candidates = eligible_pool(corpus, target_batch) if pool is None else [
-        ex for ex in pool if ex.sentence.batch != target_batch]
-    if len(candidates) < k:
-        raise DataError(
-            f"insufficient example pool for batch {target_batch}: "
-            f"need {k}, have {len(candidates)}")
-    stream = iter_shuffled_pool(candidates, seed)
-    return [next(stream) for _ in range(k)]
+    return _shuffled_candidates(corpus, target_batch, k, seed, pool)[:k]
 
 
 def build_error_pool(
@@ -232,7 +259,6 @@ def render_reasoning_prompt(example: Example, templates: TemplateSet = DEFAULT_T
         # contradicting response.
         user += f"\n\n(retry {attempt})"
     return PromptBundle(
-        variant=Variant.COT_FEW_SHOT_ERROR,
         system=templates.render("reasoning.system"),
         user=user,
         expected_schema="COT",
@@ -287,13 +313,7 @@ def reasoned_examples_steps(
     """
     from .gateway import Gather
 
-    candidates = eligible_pool(corpus, target_batch) if pool is None else [
-        ex for ex in pool if ex.sentence.batch != target_batch]
-    if len(candidates) < k:
-        raise DataError(
-            f"insufficient example pool for batch {target_batch}: "
-            f"need {k}, have {len(candidates)}")
-    order = iter_shuffled_pool(candidates, seed)
+    order = iter(_shuffled_candidates(corpus, target_batch, k, seed, pool))
     out: list[Example] = []
     while len(out) < k:
         tries = list(islice(order, k - len(out)))

@@ -10,45 +10,32 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
-# classify, run_majority_vote, run_predictor_critic_judge and
-# reasoned_examples stay importable here: perfbench/tracing.py wraps them
-# by these names.
-from .agents import (OrchestrationFailure, majority_vote_steps,
-                     predictor_critic_judge_steps, run_majority_vote,
+# classify, run_majority_vote, run_predictor_critic_judge, reasoned_examples
+# and the render_* functions stay importable here: perfbench/tracing.py wraps
+# them by these names. A run renders through VARIANTS and each batch's
+# ExampleSet.
+from .agents import (ORCHESTRATIONS, OrchestrationFailure, run_majority_vote,
                      run_predictor_critic_judge)
 from .corpus import Corpus
 from .dispatch import run_window
 from .errors import DataError
 from .gateway import ChatBackend, Steps, classify, classify_steps
 from .parsing import scan_json
-# render_few_shot and render_cot_few_shot stay importable here for the same
-# reason; a run renders through the *_with forms and each batch's ExampleSet.
-from .prompting import (ERROR_BASED_VARIANTS, MULTI_AGENT_VARIANTS, ExampleSet,
-                        Variant, build_error_pool, reasoned_examples, reasoned_examples_steps,
-                        render_cot, render_cot_few_shot, render_cot_few_shot_with,
-                        render_few_shot, render_few_shot_with, render_zero_shot,
-                        select_few_shot_examples)
+from .prompting import (VARIANTS, ExampleSet, Variant, build_error_pool, reasoned_examples,
+                        reasoned_examples_steps, render_cot, render_cot_few_shot,
+                        render_few_shot, render_zero_shot, select_few_shot_examples)
 from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 log = logging.getLogger(__name__)
 
 #: Dependency-sorted execution order for the full grid: the zero-shot run
 #: must exist before any error-based variant can build its pools.
-GRID_ORDER = (
-    Variant.ZERO_SHOT,
-    Variant.FEW_SHOT,
-    Variant.FEW_SHOT_ERROR,
-    Variant.COT,
-    Variant.COT_FEW_SHOT_ERROR,
-    Variant.MULTI_AGENT,
-    Variant.COT_MULTI_AGENT,
-    Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT,
-)
+GRID_ORDER = tuple(VARIANTS)
 
 
 @dataclass
@@ -175,20 +162,18 @@ def _batch_examples_steps(
 ) -> Steps:
     """Steps of the example set for one target batch, per the variant's pool
     rules; returns the ExampleSet, or None for variants without examples."""
+    spec = VARIANTS[variant]
+    if spec.examples is None:
+        return None
     batch_seed = _seed_for_batch(seed, batch)
-    if variant == Variant.FEW_SHOT:
-        return ExampleSet.few_shot(select_few_shot_examples(corpus, batch, k, batch_seed),
-                                   templates)
-    if variant in ERROR_BASED_VARIANTS:
-        assert zero_shot_predictions is not None
-        pool = build_error_pool(zero_shot_predictions, corpus, batch)
-        if variant == Variant.FEW_SHOT_ERROR:
-            return ExampleSet.few_shot(
-                select_few_shot_examples(corpus, batch, k, batch_seed, pool=pool), templates)
+    pool = (build_error_pool(zero_shot_predictions, corpus, batch)
+            if spec.needs_zero_shot else None)
+    if spec.examples == "reasoned_error":
         examples = yield from reasoned_examples_steps(corpus, batch, k, batch_seed,
                                                       pool=pool, templates=templates)
         return ExampleSet.cot(examples, templates)
-    return None
+    return ExampleSet.few_shot(
+        select_few_shot_examples(corpus, batch, k, batch_seed, pool=pool), templates)
 
 
 def run_variant(
@@ -222,11 +207,16 @@ def run_variant(
     scope_batches = sorted({s.batch for s in scope})
 
     zero_shot_predictions = None
-    if variant in ERROR_BASED_VARIANTS:
+    if VARIANTS[variant].needs_zero_shot:
         if zero_shot_run_dir is None:
             raise DataError(
                 f"variant {variant.value} requires a completed zero-shot run "
                 "(--zero-shot-run)")
+        found = load_manifest(zero_shot_run_dir).variant
+        if found != Variant.ZERO_SHOT.value:
+            raise DataError(
+                f"variant {variant.value} requires a ZERO_SHOT run as its zero-shot "
+                f"dependency, but {zero_shot_run_dir} is a {found} run")
         zero_shot_predictions = load_predictions(zero_shot_run_dir)
         if not zero_shot_predictions:
             raise DataError(f"zero-shot run at {zero_shot_run_dir} has no records")
@@ -304,34 +294,19 @@ def _dispatch_steps(sentence, variant: Variant, example_set: ExampleSet | None,
                     templates: TemplateSet, repair_policy: str) -> Steps:
     """Steps of one sentence under one variant; returns its record."""
     record: dict = {"sentence_id": sentence.id, "variant": variant.value}
+    spec = VARIANTS[variant]
+    bundle = spec.prompt(sentence, example_set, templates)
 
-    if variant in MULTI_AGENT_VARIANTS:
+    if spec.agents:
         try:
-            if variant == Variant.MULTI_AGENT:
-                trace = yield from majority_vote_steps(sentence, templates, repair_policy)
-            else:
-                predictor = (Variant.COT_FEW_SHOT_ERROR
-                             if variant == Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT
-                             else Variant.COT)
-                trace = yield from predictor_critic_judge_steps(
-                    sentence, predictor, example_set, templates, repair_policy)
+            trace = yield from ORCHESTRATIONS[spec.agents](
+                sentence, templates, repair_policy, first=bundle)
         except OrchestrationFailure as failure:
             record.update(final_label=None,
                           failure=f"{failure.role}: {failure.reason}")
             return record
         record.update(final_label=trace.final_label, trace=trace.to_dict())
         return record
-
-    if variant == Variant.ZERO_SHOT:
-        bundle = render_zero_shot(sentence, templates)
-    elif variant in (Variant.FEW_SHOT, Variant.FEW_SHOT_ERROR):
-        bundle = render_few_shot_with(sentence, example_set, templates)
-    elif variant == Variant.COT:
-        bundle = render_cot(sentence, templates)
-    elif variant == Variant.COT_FEW_SHOT_ERROR:
-        bundle = render_cot_few_shot_with(sentence, example_set, templates)
-    else:
-        raise DataError(f"unknown variant: {variant}")
 
     outcome = yield from classify_steps(bundle, repair_policy)
     completion = outcome.completion
@@ -357,21 +332,17 @@ def run_grid(
     variants: Sequence[Variant] = GRID_ORDER,
     **kwargs,
 ) -> dict[Variant, RunManifest]:
-    """Run several variants dependency-sorted (zero-shot first when any
-    error-based variant is requested)."""
-    requested = list(variants)
-    ordered = [v for v in GRID_ORDER if v in requested]
-    needs_zero_shot = any(v in ERROR_BASED_VARIANTS for v in ordered)
-    if needs_zero_shot and Variant.ZERO_SHOT not in ordered:
-        ordered.insert(0, Variant.ZERO_SHOT)
+    """Run several variants in GRID_ORDER, with the zero-shot run first
+    when any requested variant needs it."""
+    requested = set(variants)
+    if any(VARIANTS[v].needs_zero_shot for v in requested):
+        requested.add(Variant.ZERO_SHOT)
     manifests: dict[Variant, RunManifest] = {}
-    zero_shot_dir = kwargs.pop("zero_shot_run_dir", None)
-    for variant in ordered:
-        extra = {}
-        if variant in ERROR_BASED_VARIANTS:
-            extra["zero_shot_run_dir"] = zero_shot_dir
-        manifest = run_variant(corpus, variant, backend, runs_dir, **kwargs, **extra)
-        manifests[variant] = manifest
-        if variant == Variant.ZERO_SHOT:
-            zero_shot_dir = Path(runs_dir) / manifest.run_id
+    zero_shot_dir = None
+    for variant in GRID_ORDER:
+        if variant in requested:
+            manifests[variant] = run_variant(corpus, variant, backend, runs_dir,
+                                             zero_shot_run_dir=zero_shot_dir, **kwargs)
+            if variant == Variant.ZERO_SHOT:
+                zero_shot_dir = Path(runs_dir) / manifests[variant].run_id
     return manifests

@@ -174,6 +174,16 @@ class TestRunEvalCompare:
         assert code == 4
         assert "zero-shot run" in capsys.readouterr().err
 
+    def test_error_variant_rejects_non_zero_shot_dependency(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert self._run(config, data, variant="COT") == 0
+        cot_dir = tmp_path / "runs" / self._latest_run_id(tmp_path, "cot-")
+        capsys.readouterr()
+        code = self._run(config, data, variant="FEW_SHOT_ERROR",
+                         extra=("--zero-shot-run", cot_dir))
+        assert code == 4
+        assert "is a COT run" in capsys.readouterr().err
+
     def test_run_is_resumable_via_cache(self, workspace, capsys):
         tmp_path, config, data = workspace
         assert self._run(config, data) == 0

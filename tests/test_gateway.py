@@ -10,15 +10,15 @@ from delib.errors import ConfigError, TransportError
 from delib.gateway import (BackendConfig, CacheKeys, ChatBackend, DecodingParams,
                            Limits, MockRule, ResponseCache, ScriptedTransport,
                            cache_key, classify, mock_backend)
-from delib.prompting import Variant, PromptBundle
+from delib.prompting import PromptBundle
 
 MSGS = [{"role": "system", "content": "sys"},
         {"role": "user", "content": "classify this"}]
 
 
 def bundle(user="classify this", schema="SIMPLE"):
-    return PromptBundle(variant=Variant.ZERO_SHOT, system="sys", user=user,
-                        expected_schema=schema, sentence_id="s1")
+    return PromptBundle(system="sys", user=user, expected_schema=schema,
+                        sentence_id="s1")
 
 
 class TestCacheKey:

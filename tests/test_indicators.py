@@ -9,8 +9,8 @@ from delib.indicators import (CATEGORY_ORDER, build_easy_sets,
                               cooccurrence_csv, cooccurrence_stats,
                               default_lexicons, detect_past_tense,
                               extract_indicators, load_lexicons,
-                              occurrence_csv, occurrence_table, regular_forms,
-                              tokenize, verb_frequency, verbs_csv)
+                              occurrence_csv, occurrence_table, pairs_csv,
+                              regular_forms, tokenize, verb_frequency, verbs_csv)
 
 from conftest import build_corpus, make_sentence
 
@@ -364,3 +364,20 @@ class TestAggregates:
         assert "median_unique" in coo.split("\n")[0]
         verbs = verbs_csv({"easy-1": verb_frequency(ids, corpus)})
         assert verbs.startswith("set,lemma,share_of_sentences")
+
+    def test_pairs_csv_hand_counted(self):
+        corpus = build_corpus([
+            ("We could also reintroduce the zones.", "K1", 1),
+            ("I think we should wait.", "K1", 1),
+            ("Budget overview for the quarter.", "K1", 0),
+        ])
+        profiles = {s.id: extract_indicators(s) for s in corpus.sentences}
+        ids = [s.id for s in corpus.sentences]
+        assert [sorted(profiles[i].categories()) for i in ids] == [
+            ["first_person", "modal"], ["cognitive", "first_person", "modal"], []]
+        # first_person+modal in two sentences; the other pairs in one of three
+        assert pairs_csv({"easy_1": cooccurrence_stats(ids, profiles)}) == (
+            "set,first,second,count,share\n"
+            "easy_1,first_person,modal,2,0.6667\n"
+            "easy_1,cognitive,first_person,1,0.3333\n"
+            "easy_1,cognitive,modal,1,0.3333\n")

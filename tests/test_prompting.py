@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from delib.agents import majority_vote_steps, predictor_critic_judge_steps
 from delib.errors import DataError
 from delib.gateway import CompletionResult, MockRule, drive, mock_backend
-from delib.prompting import (Example, Variant, build_error_pool,
+from delib.prompting import (VARIANTS, Example, ExampleSet, Variant, build_error_pool,
                              generate_example_reasoning, render_cot,
                              render_cot_few_shot, render_few_shot,
                              render_reasoning_prompt, render_zero_shot,
                              select_few_shot_examples)
+from delib.templates import DEFAULT_TEMPLATES
 
 from conftest import build_corpus, make_sentence
 
@@ -135,6 +136,28 @@ class TestGoldenSnapshots:
         self._check("cot", render_cot(target))
         self._check("cot_few_shot", render_cot_few_shot(target, exs))
 
+    @pytest.mark.parametrize("variant, name", [
+        (Variant.ZERO_SHOT, "zero_shot"), (Variant.FEW_SHOT, "few_shot"),
+        (Variant.FEW_SHOT_ERROR, "few_shot"), (Variant.COT, "cot"),
+        (Variant.COT_FEW_SHOT_ERROR, "cot_few_shot"), (Variant.MULTI_AGENT, "zero_shot"),
+        (Variant.COT_MULTI_AGENT, "cot"),
+        (Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT, "cot_few_shot"),
+    ])
+    def test_variant_table_first_prompts(self, variant, name):
+        """Each table row renders the golden prompt of its first agent."""
+        target = make_sentence("We should expand the pilot program.", "K1", 1)
+        exs = [example(AMERICORPS, "K2", 1,
+                       reasoning={"step1": "No final decision yet.",
+                                  "step2": "It recommends an action."}),
+               example("The act passed in 1997.", "K3", 0,
+                       reasoning={"step1": "Decision already made.",
+                                  "step2": "It states a fact."})]
+        spec = VARIANTS[variant]
+        example_set = {None: None, "random": ExampleSet.few_shot(exs),
+                       "error": ExampleSet.few_shot(exs),
+                       "reasoned_error": ExampleSet.cot(exs)}[spec.examples]
+        self._check(name, spec.prompt(target, example_set, DEFAULT_TEMPLATES))
+
     def _check_messages(self, name, messages):
         system, user = (m["content"] for m in messages)
         path = GOLDEN_DIR / f"{name}.txt"
@@ -174,6 +197,21 @@ class TestGoldenSnapshots:
         ex = example(AMERICORPS, "K2", 1)
         self._check("reasoning", render_reasoning_prompt(ex))
         self._check("reasoning_retry1", render_reasoning_prompt(ex, attempt=1))
+
+
+class TestVariantTable:
+    def test_one_spec_per_variant_in_enum_order(self):
+        assert set(VARIANTS) == set(Variant)
+        assert list(VARIANTS) == list(Variant)
+
+    def test_error_based_and_multi_agent_triples(self):
+        assert {v for v, spec in VARIANTS.items() if spec.needs_zero_shot} == {
+            Variant.FEW_SHOT_ERROR, Variant.COT_FEW_SHOT_ERROR,
+            Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT}
+        assert {v for v, spec in VARIANTS.items() if spec.agents} == {
+            Variant.MULTI_AGENT, Variant.COT_MULTI_AGENT,
+            Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT}
+        assert VARIANTS[Variant.MULTI_AGENT].agents == "vote"
 
 
 class TestSelectFewShot:

@@ -6,7 +6,7 @@ import pytest
 
 from delib.errors import DataError
 from delib.gateway import ResponseCache, mock_backend
-from delib.prompting import Variant
+from delib.prompting import VARIANTS, Variant
 from delib.runner import (GRID_ORDER, _record_line, compute_run_id, load_manifest,
                           load_predictions, load_records, run_grid,
                           run_variant)
@@ -216,6 +216,17 @@ class TestVariants:
                                zero_shot_run_dir=tmp_path / zs.run_id)
         assert manifest.status == "finished"
 
+    @pytest.mark.parametrize("variant, dependency", [
+        (Variant.FEW_SHOT_ERROR, Variant.COT),
+        (Variant.COT_FEW_SHOT_ERROR, Variant.MULTI_AGENT),
+    ])
+    def test_error_variant_rejects_other_dependency(self, tmp_path, variant, dependency):
+        corpus = corpus_for_runs()
+        other = run_variant(corpus, dependency, backend(), tmp_path)
+        with pytest.raises(DataError, match=f"is a {dependency.value} run"):
+            run_variant(corpus, variant, backend(), tmp_path, k=2,
+                        zero_shot_run_dir=tmp_path / other.run_id)
+
     def test_cot_records_steps(self, tmp_path):
         corpus = build_corpus([("We should act.", "K1", 1)])
         manifest = run_variant(corpus, Variant.COT, backend(), tmp_path)
@@ -262,6 +273,20 @@ class TestGrid:
         manifests = run_grid(corpus, backend(), tmp_path, k=2,
                              variants=[Variant.FEW_SHOT_ERROR])
         assert list(manifests) == [Variant.ZERO_SHOT, Variant.FEW_SHOT_ERROR]
+
+    @pytest.mark.parametrize("variant", [Variant.FEW_SHOT_ERROR, Variant.COT_FEW_SHOT_ERROR,
+                                         Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT])
+    def test_error_based_variant_runs_after_zero_shot(self, tmp_path, variant):
+        manifests = run_grid(corpus_for_runs(), backend(), tmp_path, k=2, variants=[variant])
+        assert list(manifests) == [Variant.ZERO_SHOT, variant]
+        assert all(m.status == "finished" for m in manifests.values())
+
+    def test_grid_order_runs_zero_shot_before_its_dependents(self):
+        assert GRID_ORDER == tuple(VARIANTS)
+        dependents = [v for v, spec in VARIANTS.items() if spec.needs_zero_shot]
+        assert dependents
+        assert all(GRID_ORDER.index(Variant.ZERO_SHOT) < GRID_ORDER.index(v)
+                   for v in dependents)
 
     def test_grid_subset_without_dependencies(self, tmp_path):
         corpus = build_corpus([("We should act.", "K1", 1),
