@@ -70,8 +70,8 @@ def stats(corpus_path, csv_path):
 @click.option("--k", default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--strict-schema", is_flag=True, default=False)
-@click.option("--zero-shot-run", "zero_shot_run", default=None, type=click.Path(),
-              help="Run directory of the zero-shot dependency (error-based variants).")
+@click.option("--zero-shot-run", "zero_shot_run", default=None,
+              help="Run id or directory of the zero-shot dependency (error-based variants).")
 @click.pass_obj
 def run(settings, variant_name, backend_name, corpus_path, batches, k, seed,
         strict_schema, zero_shot_run):
@@ -86,7 +86,8 @@ def run(settings, variant_name, backend_name, corpus_path, batches, k, seed,
         settings.resolve(settings.runs_dir),
         k=k, seed=seed,
         repair_policy="STRICT" if strict_schema else "LENIENT",
-        templates=templates, zero_shot_run_dir=zero_shot_run)
+        templates=templates,
+        zero_shot_run_dir=_find_run_dir(settings, zero_shot_run) if zero_shot_run else None)
     click.echo(f"run {manifest.run_id}: {manifest.status}, "
                f"{manifest.n_records} records, "
                f"{manifest.schema_failures} schema failures")

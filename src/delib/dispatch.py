@@ -2,11 +2,15 @@
 
 run_window() serves a stream of step generators (see gateway.drive) on the
 calling thread, keeping a window of them in progress. Cache hits and the
-pipeline's own work run inline; a cache miss goes to a pool of
-max_in_flight threads, which run only ChatBackend.complete. Identical
-misses in flight at once share one call. Results are committed in stream
-order, each as soon as it and everything before it are done, so the output
-is the same as serving the stream one generator at a time.
+pipeline's own work run inline. A cache miss becomes a call, sent one
+attempt at a time by a pool of max_in_flight threads; a thread that comes
+free takes the pending call earliest in the stream. Identical misses in
+flight at once share one call. A transiently failed attempt waits out its
+backoff on a thread of its window entry, which holds no pool thread and no
+admission token, then rejoins the pending calls at its stream position.
+Results are committed in stream order, each as soon as it and everything
+before it are done, so the output is the same as serving the stream one
+generator at a time.
 
 Overlap starts only against a slow backend (ChatBackend.slow). Against a
 fast one, handing a call to a thread would cost more than it saves, and
@@ -14,14 +18,17 @@ every call runs inline.
 """
 from __future__ import annotations
 
+import heapq
+import queue
+import threading
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
-from .gateway import ChatBackend, Gather, Message, Steps, drive
+from .gateway import ChatBackend, CompletionResult, Gather, Message, Steps, _Transient, drive
 
 #: Generators in progress per backend call allowed in flight.
-WINDOW_PER_CALL = 4
+WINDOW_PER_CALL = 8
 
 _BLOCKED = object()  # a request waits on a call in flight
 _END = object()
@@ -47,6 +54,23 @@ class _Task:
         self.error: Exception | None = None
 
 
+class _Call:
+    """A cache miss on its way to the backend, and the tasks waiting on it."""
+
+    __slots__ = ("key", "messages", "order", "attempt", "tasks", "result", "error")
+
+    def __init__(self, key: str, messages: Sequence[Message], order: tuple):
+        self.key = key
+        self.messages = messages
+        # the stream position of the task that made it: a task has at most
+        # one call at a time, so no two pending calls share one
+        self.order = order
+        self.attempt = 0
+        self.tasks: list[tuple[_Task, Sequence[Message]]] = []  # with their request
+        self.result: CompletionResult | None = None
+        self.error: Exception | None = None
+
+
 def run_window(backend: ChatBackend, source: Iterator[Steps | None],
                commit: Callable[[object], None]) -> None:
     """Serve every generator `source` yields; call commit() with each return
@@ -66,9 +90,12 @@ class _Window:
         self.backend = backend
         self.width = WINDOW_PER_CALL * backend.config.limits.max_in_flight
         self.pool: ThreadPoolExecutor | None = None
-        self.inflight: dict[str, Future] = {}  # cache key -> the call serving it
-        # call -> (cache key, the tasks waiting on it with their request)
-        self.waiters: dict[Future, tuple[str, list[tuple[_Task, Sequence[Message]]]]] = {}
+        self.inflight: dict[str, _Call] = {}  # cache key -> the call serving it
+        self.ended: queue.SimpleQueue[_Call] = queue.SimpleQueue()  # from pool and backoff threads
+        self.lock = threading.Lock()  # guards the three below
+        self.pending: list[tuple[tuple, _Call]] = []  # heap of calls awaiting a pool thread
+        self.backing_off: dict[int, deque[_Call]] = {}  # window entry -> its calls in backoff
+        self.closed = False
         self.failed = False
         self.admitted = 0
 
@@ -97,6 +124,8 @@ class _Window:
                     self._wait()
         finally:
             if self.pool is not None:
+                with self.lock:
+                    self.closed = True  # backoff threads still sleeping send nothing
                 self.pool.shutdown(wait=True, cancel_futures=True)
 
     @staticmethod
@@ -138,12 +167,64 @@ class _Window:
                 if self.pool is None:
                     self.pool = ThreadPoolExecutor(backend.config.limits.max_in_flight,
                                                    thread_name_prefix="delib-dispatch")
-                call = self.inflight[key] = self.pool.submit(backend.complete, messages, key)
-                self.waiters[call] = (key, [])
+                call = self.inflight[key] = _Call(key, messages, task.order)
+                with self.lock:
+                    self._send(call)
             if call is not None:
-                self.waiters[call][1].append((task, messages))
+                call.tasks.append((task, messages))
                 return _BLOCKED
         return backend.complete(messages, key)
+
+    def _send(self, call: _Call) -> None:
+        """Queue the call's next attempt; the caller holds self.lock."""
+        heapq.heappush(self.pending, (call.order, call))
+        self.pool.submit(self._attempt)
+
+    def _attempt(self) -> None:
+        """On a pool thread: one attempt of the earliest pending call."""
+        with self.lock:
+            _order, call = heapq.heappop(self.pending)
+        try:
+            call.result = self.backend.complete(call.messages, call.key, call.attempt)
+        except Exception as exc:  # the window thread acts on it
+            call.error = exc
+        self.ended.put(call)
+
+    def _back_off(self, call: _Call) -> None:
+        """Retry a call after its backoff. Each window entry has at most one
+        backoff thread, which serves its entry's calls one after another."""
+        call.attempt += 1
+        call.error = None
+        entry = call.order[0]
+        with self.lock:
+            calls = self.backing_off.setdefault(entry, deque())
+            calls.append(call)
+            if len(calls) > 1:
+                return  # the entry's backoff thread is running
+        threading.Thread(target=self._serve_backoffs, args=(entry, calls),
+                         name="delib-backoff", daemon=True).start()
+
+    def _serve_backoffs(self, entry: int, calls: deque[_Call]) -> None:
+        """On an entry's backoff thread: wait out each call's backoff in
+        turn, then queue its next attempt."""
+        while True:
+            call = calls[0]
+            try:
+                self.backend.sleep(self.backend.backoff(call.attempt))
+            except Exception as exc:  # the window thread acts on it
+                call.error = exc
+            with self.lock:
+                calls.popleft()
+                if not calls:
+                    del self.backing_off[entry]
+                if self.closed:
+                    return
+                if call.error is None:
+                    self._send(call)
+                else:
+                    self.ended.put(call)
+                if not calls:
+                    return
 
     def _gather(self, task: _Task, steps: list[Steps]) -> None:
         if not steps:
@@ -175,14 +256,19 @@ class _Window:
 
     def _wait(self) -> None:
         """Block until a call ends, then resume the tasks waiting on it in
-        stream order. The first gets the call's result; the others serve
-        their request again, now a cache hit, as they would one at a time."""
-        done, _ = wait(self.waiters, return_when=FIRST_COMPLETED)
+        stream order. A transient failure goes to its backoff instead. The
+        first task gets the call's result; the others serve their request
+        again, now a cache hit, as they would one at a time."""
+        ended = [self.ended.get()]
+        while not self.ended.empty():
+            ended.append(self.ended.get())
         ready = []
-        for call in done:
-            key, tasks = self.waiters.pop(call)
-            del self.inflight[key]
-            tasks.sort(key=lambda entry: entry[0].order)
+        for call in ended:
+            if isinstance(call.error, _Transient):
+                self._back_off(call)
+                continue
+            del self.inflight[call.key]
+            tasks = sorted(call.tasks, key=lambda entry: entry[0].order)
             ready.append((tasks[0][0].order, tasks[0][0], call, None))
             ready += [(t.order, t, None, messages) for t, messages in tasks[1:]]
         ready.sort(key=lambda entry: entry[0])
@@ -190,7 +276,12 @@ class _Window:
             if task.parent is not None and task.parent.done:
                 continue  # its Gather already failed
             try:
-                value = call.result() if call is not None else self._serve(task, messages)
+                if call is None:
+                    value = self._serve(task, messages)
+                elif call.error is not None:
+                    raise call.error
+                else:
+                    value = call.result
             except Exception as exc:  # kept for its turn in commit order
                 self._fail(task, exc)
                 continue

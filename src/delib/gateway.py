@@ -81,13 +81,18 @@ _json_str = json.encoder.encode_basestring
 MAX_SYSTEM_STATES = 64
 
 
+def _plain(message) -> bool:
+    """Whether message is the usual {"role": str, "content": str}."""
+    return (type(message) is dict and len(message) == 2
+            and type(message.get("role")) is str and type(message.get("content")) is str)
+
+
 def _encode_message(message: Message) -> str:
     """json.dumps(message, sort_keys=True, ensure_ascii=False), spelled out
     for the usual {"role": str, "content": str}."""
-    if type(message) is dict and len(message) == 2:
-        role, content = message.get("role"), message.get("content")
-        if type(role) is str and type(content) is str:
-            return f'{{"content": {_json_str(content)}, "role": {_json_str(role)}}}'
+    if _plain(message):
+        content, role = _json_str(message["content"]), _json_str(message["role"])
+        return f'{{"content": {content}, "role": {role}}}'
     return _JSON.encode(message)
 
 
@@ -101,6 +106,12 @@ class CacheKeys:
     and a system message is kept for each distinct system message, up to
     MAX_SYSTEM_STATES, so a completion encodes and hashes only the messages
     after it.
+
+    Next to each, a hash state is kept after the start of a user message:
+    its text up to the last newline, such as a few-shot prompt's example
+    block. It serves every later user message that starts with that text,
+    since JSON escapes each character alone, so that the escaped text is
+    the escaped start followed by the escaped rest.
     """
 
     def __init__(self, config: BackendConfig):
@@ -113,26 +124,50 @@ class CacheKeys:
             '"messages": ['.encode())
         self.tail = f'], "model": {_json_str(config.model)}}}'.encode()
         self._after_system: dict[str, "hashlib._Hash"] = {}
+        # system message -> (start of a user text, the state after it); set
+        # as one tuple, so a thread never reads one's text with another's state
+        self._after_user_start: dict[str, tuple[str, "hashlib._Hash"]] = {}
 
     def key(self, messages: Sequence[Message]) -> str:
         messages = list(messages)
         first = messages[0] if messages else None
         if (type(first) is dict and len(first) == 2 and first.get("role") == "system"
                 and type(first.get("content")) is str):
-            state = self._after_system.get(first["content"])
+            system = first["content"]
+            state = self._after_system.get(system)
             if state is None:
                 state = self.head.copy()
                 state.update(_encode_message(first).encode())
                 if len(self._after_system) < MAX_SYSTEM_STATES:
-                    self._after_system[first["content"]] = state
-            state = state.copy()
-            rest = "".join([", " + _encode_message(m) for m in messages[1:]])
+                    self._after_system[system] = state
+            user = messages[1] if len(messages) > 1 else None
+            if _plain(user):
+                state, rest = self._after_start(system, state, user["content"])
+                rest += f', "role": {_json_str(user["role"])}}}'
+                rest += "".join([", " + _encode_message(m) for m in messages[2:]])
+            else:
+                state = state.copy()
+                rest = "".join([", " + _encode_message(m) for m in messages[1:]])
         else:
             state = self.head.copy()
             rest = ", ".join([_encode_message(m) for m in messages])
         state.update(rest.encode())
         state.update(self.tail)
         return state.hexdigest()
+
+    def _after_start(self, system: str, after_system, text: str):
+        """A copy of the state after system and the start of a user message
+        with this text, and the encoded rest of the text up to its closing quote."""
+        kept = self._after_user_start.get(system)
+        if kept is None or not text.startswith(kept[0]):
+            start = text[:text.rfind("\n") + 1]
+            state = after_system.copy()
+            state.update(f', {{"content": {_json_str(start)[:-1]}'.encode())
+            kept = (start, state)
+            if start and system in self._after_system:
+                self._after_user_start[system] = kept
+        start, state = kept
+        return state.copy(), _json_str(text[len(start):])[1:]
 
 
 def cache_key(config: BackendConfig, messages: Sequence[Message],
@@ -366,53 +401,71 @@ class ChatBackend:
         """The cache key of messages."""
         return cache_key(self.config, messages, self._keys)
 
-    def complete(self, messages: Sequence[Message], key: str | None = None) -> CompletionResult:
+    def backoff(self, attempt: int) -> float:
+        """Seconds to wait before attempt number `attempt` (1 is the first retry)."""
+        return self.backoff_base * (2 ** (attempt - 1))
+
+    def complete(self, messages: Sequence[Message], key: str | None = None,
+                 attempt: int | None = None) -> CompletionResult:
         """The completion of messages, from the cache or the transport;
-        key, when given, is self.key(messages)."""
+        key, when given, is self.key(messages).
+
+        Without `attempt`, a transient failure is retried up to the retry
+        budget, sleeping backoff(n) before attempt n. With attempt=n, only
+        attempt n of a cache miss is made, without reading the cache: while
+        the budget allows another attempt, a transient failure is raised as
+        _Transient, and the caller waits out backoff(n + 1) before retrying.
+        """
         if key is None:
             key = self.key(messages)
         start = self.clock()
+        if attempt is not None:
+            return self._attempt(messages, key, attempt, start)
         entry = self.cache.get(self.config.name, key)
         if entry is not None:
             return CompletionResult(
                 text=entry["text"], usage=entry.get("usage"),
                 latency_ms=int((self.clock() - start) * 1000),
                 cached=True, attempt=0)
+        attempt = 0
+        while True:
+            try:
+                return self._attempt(messages, key, attempt, start)
+            except _Transient:
+                attempt += 1
+                self.sleep(self.backoff(attempt))
 
+    def _attempt(self, messages: Sequence[Message], key: str, attempt: int,
+                 start: float) -> CompletionResult:
+        """One admitted transport call for a cache miss; its response is cached."""
         if isinstance(self.transport, HttpTransport):
             self.transport._auth_header()  # fail on missing credentials before dispatch
-
-        last_error: Exception | None = None
-        for attempt in range(self.config.limits.retry_budget + 1):
-            if attempt:
-                self.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            if self._rate is not None:
-                self._rate.admit()
-            self._admission.get()
-            try:
-                sent = time.perf_counter()
-                try:
-                    status, body = self.transport(messages)
-                except _Transient as exc:
-                    self._note_call(time.perf_counter() - sent)
-                    last_error = exc
-                    continue
-                self._note_call(time.perf_counter() - sent)
-            finally:
-                self._admission.put(None)
-            try:
-                text = body["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as exc:
-                raise TransportError(f"malformed completion body: {body!r:.300}") from exc
-            entry = {"key": key, "text": text, "usage": body.get("usage")}
-            self.cache.put(self.config.name, key, entry)
-            return CompletionResult(
-                text=text, usage=body.get("usage"),
-                latency_ms=int((self.clock() - start) * 1000),
-                cached=False, attempt=attempt)
-        raise TransportError(
-            f"backend {self.config.name!r}: retries exhausted "
-            f"({self.config.limits.retry_budget + 1} attempts): {last_error}")
+        if self._rate is not None:
+            self._rate.admit()
+        self._admission.get()
+        sent = time.perf_counter()
+        try:
+            status, body = self.transport(messages)
+        except _Transient as exc:
+            self._note_call(time.perf_counter() - sent)
+            if attempt < self.config.limits.retry_budget:
+                raise
+            raise TransportError(
+                f"backend {self.config.name!r}: retries exhausted "
+                f"({self.config.limits.retry_budget + 1} attempts): {exc}") from exc
+        finally:
+            self._admission.put(None)
+        self._note_call(time.perf_counter() - sent)
+        try:
+            text = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise TransportError(f"malformed completion body: {body!r:.300}") from exc
+        entry = {"key": key, "text": text, "usage": body.get("usage")}
+        self.cache.put(self.config.name, key, entry)
+        return CompletionResult(
+            text=text, usage=body.get("usage"),
+            latency_ms=int((self.clock() - start) * 1000),
+            cached=False, attempt=attempt)
 
 
 @dataclass

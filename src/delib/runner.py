@@ -142,7 +142,10 @@ def load_manifest(run_dir: str | Path) -> RunManifest:
     path = Path(run_dir) / "manifest.json"
     if not path.is_file():
         raise DataError(f"no manifest in {run_dir}")
-    return RunManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return RunManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as exc:  # bad JSON, or not the manifest's fields
+        raise DataError(f"{path}: not a run manifest: {exc}") from exc
 
 
 def load_predictions(run_dir: str | Path) -> dict[str, int | None]:

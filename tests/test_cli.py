@@ -184,6 +184,40 @@ class TestRunEvalCompare:
         assert code == 4
         assert "is a COT run" in capsys.readouterr().err
 
+    def test_error_variant_takes_a_bare_zero_shot_run_id(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        # the offline backend answers 1 throughout, so each batch has an error
+        assert self._run(config, data, backend="offline") == 0
+        zero_shot = self._latest_run_id(tmp_path, "zero_shot-")
+        capsys.readouterr()
+        code = self._run(config, data, variant="FEW_SHOT_ERROR", backend="offline",
+                         extra=("--zero-shot-run", zero_shot, "--k", 1))
+        assert code == 0, capsys.readouterr().err
+        assert "finished, 6 records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["malformed", "not an object", "unknown key",
+                                        "missing key"])
+    def test_eval_of_damaged_manifest_is_data_error(self, workspace, capsys, damage):
+        tmp_path, config, data = workspace
+        assert self._run(config, data) == 0
+        run_id = self._latest_run_id(tmp_path, "zero_shot-")
+        path = tmp_path / "runs" / run_id / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if damage == "malformed":
+            text = path.read_text(encoding="utf-8")[:-5]
+        elif damage == "not an object":
+            text = json.dumps([manifest])
+        elif damage == "unknown key":
+            text = json.dumps({**manifest, "extra": 1})
+        else:
+            del manifest["variant"]
+            text = json.dumps(manifest)
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(config), "eval", "--run", run_id,
+                     "--corpus", str(data)]) == 4
+        assert "not a run manifest" in capsys.readouterr().err
+
     def test_run_is_resumable_via_cache(self, workspace, capsys):
         tmp_path, config, data = workspace
         assert self._run(config, data) == 0

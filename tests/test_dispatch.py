@@ -17,7 +17,8 @@ import delib.dispatch
 from delib.cli import main
 from delib.corpus import Corpus, Sentence, sentence_id
 from delib.errors import TransportError
-from delib.gateway import (RECENT_CALLS, BackendConfig, ChatBackend, HttpTransport,
+from delib.dispatch import run_window
+from delib.gateway import (RECENT_CALLS, BackendConfig, ChatBackend, Gather, HttpTransport,
                            Limits, MockRule, ResponseCache, ScriptedTransport,
                            _Transient, mock_backend)
 from delib.prompting import Variant
@@ -278,3 +279,168 @@ def test_transport_counters_survive_threads(kind, monkeypatch):
     assert transport.calls == n_threads * per_thread
     if rule is not None:
         assert len(faults) == n_faults and not rule.faults
+
+
+class LoggedTransport:
+    """Answers each prompt with itself after a millisecond, which keeps the
+    backend slow, and logs each call as it starts. A prompt in `hold` waits
+    for its event (at most 5 s); a prompt in `faults` first fails
+    transiently once per fault listed."""
+
+    def __init__(self, hold=None, faults=None):
+        self.hold = hold or {}
+        self.faults = faults or {}
+        self.log = []
+        self._lock = threading.Lock()
+
+    def __call__(self, messages):
+        prompt = messages[-1]["content"]
+        with self._lock:
+            self.log.append(prompt)
+            queued = self.faults.get(prompt)
+            fault = queued.pop() if queued else None
+        time.sleep(0.001)
+        if prompt in self.hold:
+            self.hold[prompt].wait(5)
+        if fault is not None:
+            raise _Transient(fault)
+        return 200, {"choices": [{"message": {"content": prompt}}]}
+
+
+def window_backend(transport, max_in_flight, sleep=lambda _t: None, retry_budget=3):
+    config = BackendConfig(name="window", model="m",
+                           limits=Limits(max_in_flight=max_in_flight,
+                                         retry_budget=retry_budget))
+    backend = ChatBackend(config, transport=transport, sleep=sleep, clock=lambda: 0.0)
+    for i in range(RECENT_CALLS):  # slow calls, so the window uses its pool at once
+        backend.complete([{"role": "user", "content": f"warm-up {i}"}])
+    assert backend.slow
+    transport.log.clear()
+    return backend
+
+
+def asking(*prompts):
+    """Steps that ask for each prompt in turn; returns the answers."""
+    answers = []
+    for prompt in prompts:
+        completion = yield [{"role": "user", "content": prompt}]
+        answers.append(completion.text)
+    return answers
+
+
+def wait_until(condition, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestWindowScheduling:
+    def test_backoff_does_not_hold_the_only_slot(self):
+        # A fails once and waits out its backoff; with max_in_flight=1, B's
+        # call must reach the transport before that backoff ends.
+        transport = LoggedTransport(faults={"A": ["HTTP 503"]})
+        sleeps, reached = [], []
+
+        def backoff(seconds):
+            sleeps.append(seconds)
+            reached.append(wait_until(lambda: "B" in transport.log))
+
+        backend = window_backend(transport, 1, sleep=backoff)
+        committed = []
+        run_window(backend, iter([asking("A"), asking("B")]), committed.append)
+        assert committed == [["A"], ["B"]]
+        assert sleeps == [0.5]
+        assert reached == [True], "B waited for A's backoff to end"
+        assert transport.log.count("A") == 2
+
+    def test_head_entry_goes_first_when_a_slot_frees(self):
+        # h1 ends while x1 and x2 hold both slots and x3..x7 wait. The head
+        # entry's next call, h2, is queued after them, yet it is sent first
+        # when a slot frees.
+        release = threading.Event()
+        transport = LoggedTransport(hold={f"x{i}": release for i in range(1, 8)})
+        backend = window_backend(transport, 2)
+        answered = []
+
+        def head():
+            answered.append((yield [{"role": "user", "content": "h1"}]))
+            second = yield [{"role": "user", "content": "h2"}]
+            return ["h1", second.text]
+
+        def source():
+            yield head()
+            for i in range(1, 8):
+                yield asking(f"x{i}")
+            while not answered:
+                yield None  # resumed after the window has queued h2
+            release.set()
+
+        committed = []
+        run_window(backend, source(), committed.append)
+        assert committed == [["h1", "h2"]] + [[f"x{i}"] for i in range(1, 8)]
+        log = transport.log
+        assert all(log.index("h2") < log.index(f"x{i}") for i in range(3, 8)), log
+
+    def test_exhausted_retry_raises_after_earlier_commits(self):
+        transport = LoggedTransport(faults={"p3": ["HTTP 503"] * 10})
+        backend = window_backend(transport, 2, retry_budget=2)
+        committed = []
+        with pytest.raises(TransportError, match=r"retries exhausted \(3 attempts\): HTTP 503"):
+            run_window(backend, iter([asking(f"p{i}") for i in range(6)]), committed.append)
+        assert committed == [["p0"], ["p1"], ["p2"]]
+        assert transport.log.count("p3") == 3
+
+    def test_one_backoff_thread_per_window_entry(self):
+        # Three calls of one entry fail at once, and their backoffs take
+        # real time; one thread serves them one after another.
+        transport = LoggedTransport(faults={f"g{i}": ["HTTP 503"] for i in range(3)})
+        peak = []
+
+        def backoff(_seconds):
+            peak.append(sum(t.name == "delib-backoff" for t in threading.enumerate()))
+            time.sleep(0.02)
+
+        def gathered():
+            return (yield Gather(asking(f"g{i}") for i in range(3)))
+
+        backend = window_backend(transport, 4, sleep=backoff)
+        committed = []
+        run_window(backend, iter([gathered(), asking("after")]), committed.append)
+        assert committed == [[["g0"], ["g1"], ["g2"]], ["after"]]
+        assert peak == [1, 1, 1]
+        pool = [t for t in threading.enumerate() if t.name.startswith("delib-dispatch")]
+        assert not pool
+
+    def test_many_threads_with_a_short_switch_interval(self):
+        """More pool threads than cores, retries re-entering the queue, and
+        frequent thread switches: a call lost or sent twice would break the
+        commits or the call count."""
+        n = 150
+        transport = LoggedTransport(faults={f"s{i}": ["HTTP 503"] * (i % 3) for i in range(n)})
+        backend = window_backend(transport, 8)
+        committed = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_window(backend, iter([asking(f"s{i}", f"t{i}") for i in range(n)]),
+                       committed.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert committed == [[f"s{i}", f"t{i}"] for i in range(n)]
+        assert len(transport.log) == 2 * n + sum(i % 3 for i in range(n))
+
+    def test_faulty_grid_never_waits_in_real_time(self, serial_grid, tmp_path):
+        # Backoffs of 0.5 s, 1 s and 2 s through a sleep that returns at once.
+        sleeps = []
+        backend = slow_backend(4, faults=3)
+        backend.sleep = sleeps.append
+        assert backend.backoff_base == 0.5
+        start = time.monotonic()
+        manifests = run_grid(dispatch_corpus(), backend, tmp_path, k=2)
+        elapsed = time.monotonic() - start
+        assert sorted(sleeps) == [0.5, 1.0, 2.0]
+        assert elapsed < sum(sleeps)
+        assert run_files(tmp_path, manifests) == serial_grid[0]

@@ -104,6 +104,96 @@ class TestCacheKeyFormat:
             assert keys.key(messages) == reference_cache_key(HINTED, messages)
 
 
+class SystemStateKeys:
+    """CacheKeys.key as it was before states after the start of a user
+    message were kept: a state after each system message only."""
+
+    def __init__(self, config):
+        self.reference = CacheKeys(config)
+        self.after_system = {}
+
+    @staticmethod
+    def encode(message):
+        if type(message) is dict and len(message) == 2:
+            role, content = message.get("role"), message.get("content")
+            if type(role) is str and type(content) is str:
+                return (f'{{"content": {json.encoder.encode_basestring(content)}, '
+                        f'"role": {json.encoder.encode_basestring(role)}}}')
+        return json.dumps(message, sort_keys=True, ensure_ascii=False)
+
+    def key(self, messages):
+        messages = list(messages)
+        first = messages[0] if messages else None
+        if (type(first) is dict and len(first) == 2 and first.get("role") == "system"
+                and type(first.get("content")) is str):
+            state = self.after_system.get(first["content"])
+            if state is None:
+                state = self.reference.head.copy()
+                state.update(self.encode(first).encode())
+                self.after_system[first["content"]] = state
+            state = state.copy()
+            rest = "".join([", " + self.encode(m) for m in messages[1:]])
+        else:
+            state = self.reference.head.copy()
+            rest = ", ".join([self.encode(m) for m in messages])
+        state.update(rest.encode())
+        state.update(self.reference.tail)
+        return state.hexdigest()
+
+
+# escapes, control characters, line breaks JSON leaves alone, non-ASCII text
+_tricky = st.text(st.sampled_from('ab "\\/\n\r\t\x00\x1f\x7fé✓\u2028\U0001f600') |
+                  st.characters(blacklist_categories=("Cs",)), max_size=12)
+_SHAPES = ("user", "assistant", "extra key", "list content", "three", "system only",
+           "no system")
+
+
+def _conversation(system, start, rest, shape):
+    text = start + rest
+    if shape == "no system":
+        return [{"role": "user", "content": text}]
+    messages = [{"role": "system", "content": system}]
+    if shape == "system only":
+        return messages
+    user = {"role": "assistant" if shape == "assistant" else "user", "content": text}
+    if shape == "extra key":
+        user["name"] = rest
+    if shape == "list content":
+        user["content"] = [start, rest]
+    messages.append(user)
+    if shape == "three":
+        messages.append({"role": "assistant", "content": rest})
+    return messages
+
+
+class TestUserStartStates:
+    @settings(max_examples=200, deadline=None)
+    @given(systems=st.lists(_tricky, min_size=1, max_size=2),
+           starts=st.lists(st.lists(_tricky, max_size=3).map("\n".join),
+                           min_size=1, max_size=3),
+           turns=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), _tricky,
+                                    st.sampled_from(_SHAPES)), max_size=16))
+    def test_matches_system_state_keys(self, systems, starts, turns):
+        """One CacheKeys serves a stream of conversations whose user texts
+        share starts, and each key equals the one computed without states
+        after a user message's start."""
+        keys, reference = CacheKeys(HINTED), SystemStateKeys(HINTED)
+        for s, u, rest, shape in turns:
+            messages = _conversation(systems[s % len(systems)], starts[u % len(starts)],
+                                     rest, shape)
+            assert keys.key(messages) == reference.key(messages)
+
+    def test_few_shot_block_kept_per_system_message(self):
+        keys, reference = CacheKeys(HINTED), SystemStateKeys(HINTED)
+        block = 'Examples:\n"We should" → 1\n\t\\ ✓\n'
+        for i in range(6):
+            for system in ("sys a", "sys b"):
+                messages = [{"role": "system", "content": system},
+                            {"role": "user", "content": f"{block}Sentence {i}: \"x\""}]
+                assert keys.key(messages) == reference.key(messages)
+        assert keys._after_user_start["sys a"][0] == block
+
+
 class TestBackendDigest:
     def test_unchanged_without_hint(self):
         # run ids of existing runs derive from this digest
