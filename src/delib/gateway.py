@@ -131,8 +131,7 @@ class CacheKeys:
     def key(self, messages: Sequence[Message]) -> str:
         messages = list(messages)
         first = messages[0] if messages else None
-        if (type(first) is dict and len(first) == 2 and first.get("role") == "system"
-                and type(first.get("content")) is str):
+        if _plain(first) and first["role"] == "system":
             system = first["content"]
             state = self._after_system.get(system)
             if state is None:
