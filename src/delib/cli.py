@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error,
-3 backend/transport failure, 4 data error.
+3 backend/transport failure, 4 data error (also a file that cannot be read or
+written).
 """
 from __future__ import annotations
 
@@ -271,6 +272,9 @@ def main(argv=None) -> int:
     except DelibError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
+    except OSError as exc:  # its message names the path
+        click.echo(f"error: {exc}", err=True)
+        return DataError.exit_code
     return 0
 
 

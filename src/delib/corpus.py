@@ -12,9 +12,9 @@ import io
 import json
 import logging
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DataError
 
@@ -39,7 +39,6 @@ class Sentence:
 @dataclass
 class Corpus:
     sentences: list[Sentence]
-    source_manifest: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -135,10 +134,10 @@ def _iter_jsonl(path: Path):
             yield row_no, obj["batch"], obj["text"], obj["label"]
 
 
-def _resolve_columns(header: Sequence[str], aliases: Mapping[str, Sequence[str]]) -> dict[str, int]:
+def _resolve_columns(header: Sequence[str]) -> dict[str, int]:
     lowered = [h.strip().lower() for h in header]
     resolved = {}
-    for key, names in aliases.items():
+    for key, names in DEFAULT_COLUMN_ALIASES.items():
         for name in names:
             if name in lowered:
                 resolved[key] = lowered.index(name)
@@ -148,7 +147,7 @@ def _resolve_columns(header: Sequence[str], aliases: Mapping[str, Sequence[str]]
     return resolved
 
 
-def _iter_table(path: Path, delimiter: str | None, aliases: Mapping[str, Sequence[str]]):
+def _iter_table(path: Path, delimiter: str | None):
     raw = path.read_text(encoding="utf-8")
     if not raw.strip():
         raise DataError("no records: empty input")
@@ -161,7 +160,7 @@ def _iter_table(path: Path, delimiter: str | None, aliases: Mapping[str, Sequenc
     header = next(reader, None)
     if header is None:
         raise DataError("no records: empty input")
-    cols = _resolve_columns(header, aliases)
+    cols = _resolve_columns(header)
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -171,12 +170,7 @@ def _iter_table(path: Path, delimiter: str | None, aliases: Mapping[str, Sequenc
             raise DataError(f"row {row_no}: too few columns") from None
 
 
-def parse_dataset(
-    source: str | Path,
-    format: str = "jsonl",
-    delimiter: str | None = None,
-    column_aliases: Mapping[str, Sequence[str]] | None = None,
-) -> Corpus:
+def parse_dataset(source: str | Path, format: str = "jsonl") -> Corpus:
     """Load a corpus from JSONL or a delimited table.
 
     Malformed rows raise DataError with the offending row number; nothing
@@ -188,15 +182,13 @@ def parse_dataset(
     if format == "jsonl":
         rows = _iter_jsonl(path)
     elif format in ("csv", "tsv", "table"):
-        delim = delimiter or ("\t" if format == "tsv" else None)
-        rows = _iter_table(path, delim, column_aliases or DEFAULT_COLUMN_ALIASES)
+        rows = _iter_table(path, "\t" if format == "tsv" else None)
     else:
         raise DataError(f"unknown ingest format: {format!r}")
     sentences = _build_sentences(rows)
     if not sentences:
         raise DataError("no records")
-    manifest = {"path": str(path), "format": format}
-    return Corpus(sentences=sentences, source_manifest=manifest)
+    return Corpus(sentences=sentences)
 
 
 def save_jsonl(corpus: Corpus, path: str | Path) -> None:
@@ -214,10 +206,7 @@ def filter_batches(corpus: Corpus, include: Iterable[str]) -> Corpus:
     present = set(corpus.batches())
     for missing in sorted(include - present):
         log.warning("filter_batches: batch %r not present in corpus", missing)
-    kept = [s for s in corpus.sentences if s.batch in include]
-    manifest = dict(corpus.source_manifest)
-    manifest["filtered_to"] = sorted(include)
-    return Corpus(sentences=kept, source_manifest=manifest)
+    return Corpus(sentences=[s for s in corpus.sentences if s.batch in include])
 
 
 def corpus_stats(corpus: Corpus) -> list[BatchStats]:

@@ -6,7 +6,7 @@ pipeline's own work run inline. A cache miss becomes a call, sent one
 attempt at a time by a pool of max_in_flight threads; a thread that comes
 free takes the pending call earliest in the stream. Identical misses in
 flight at once share one call. A transiently failed attempt waits out its
-backoff on a thread of its window entry, which holds no pool thread and no
+backoff on a thread of its own, which holds no pool thread and no
 admission token, then rejoins the pending calls at its stream position.
 Results are committed in stream order, each as soon as it and everything
 before it are done, so the output is the same as serving the stream one
@@ -25,7 +25,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
-from .gateway import ChatBackend, CompletionResult, Gather, Message, Steps, _Transient, drive
+from .gateway import ChatBackend, CompletionResult, Message, Steps, _Transient, drive
 
 #: Generators in progress per backend call allowed in flight.
 WINDOW_PER_CALL = 8
@@ -35,20 +35,13 @@ _END = object()
 
 
 class _Task:
-    """One step generator in progress: a window entry, or a sub-generator of
-    a Gather that one yielded."""
+    """One step generator in progress: a window entry."""
 
-    __slots__ = ("steps", "order", "parent", "index", "results", "waiting",
-                 "done", "value", "error")
+    __slots__ = ("steps", "order", "done", "value", "error")
 
-    def __init__(self, steps: Steps, order: tuple, parent: "_Task | None" = None,
-                 index: int = 0):
+    def __init__(self, steps: Steps, order: int):
         self.steps = steps
-        self.order = order          # position in the stream; sub-generators extend it
-        self.parent = parent
-        self.index = index          # position in the parent's Gather
-        self.results: list = []     # return values of this task's Gather
-        self.waiting = 0            # sub-generators of the Gather still running
+        self.order = order  # position in the stream
         self.done = False
         self.value = None
         self.error: Exception | None = None
@@ -59,7 +52,7 @@ class _Call:
 
     __slots__ = ("key", "messages", "order", "attempt", "tasks", "result", "error")
 
-    def __init__(self, key: str, messages: Sequence[Message], order: tuple):
+    def __init__(self, key: str, messages: Sequence[Message], order: int):
         self.key = key
         self.messages = messages
         # the stream position of the task that made it: a task has at most
@@ -71,14 +64,13 @@ class _Call:
         self.error: Exception | None = None
 
 
-def run_window(backend: ChatBackend, source: Iterator[Steps | None],
+def run_window(backend: ChatBackend, source: Iterator[Steps],
                commit: Callable[[object], None]) -> None:
     """Serve every generator `source` yields; call commit() with each return
     value in source order.
 
-    source yields None while its next generator cannot start yet because it
-    needs a result still in progress. An exception from a generator or its
-    backend calls is raised once everything before it is committed.
+    An exception from a generator or its backend calls is raised once
+    everything before it is committed.
     """
     _Window(backend).run(source, commit)
 
@@ -92,29 +84,26 @@ class _Window:
         self.pool: ThreadPoolExecutor | None = None
         self.inflight: dict[str, _Call] = {}  # cache key -> the call serving it
         self.ended: queue.SimpleQueue[_Call] = queue.SimpleQueue()  # from pool and backoff threads
-        self.lock = threading.Lock()  # guards the three below
-        self.pending: list[tuple[tuple, _Call]] = []  # heap of calls awaiting a pool thread
-        self.backing_off: dict[int, deque[_Call]] = {}  # window entry -> its calls in backoff
+        self.lock = threading.Lock()  # guards the two below
+        self.pending: list[tuple[int, _Call]] = []  # heap of calls awaiting a pool thread
         self.closed = False
         self.failed = False
         self.admitted = 0
 
-    def run(self, source: Iterator[Steps | None], commit: Callable[[object], None]) -> None:
+    def run(self, source: Iterator[Steps], commit: Callable[[object], None]) -> None:
         window: deque[_Task] = deque()
         more = True
         try:
             while more or window:
                 while more and not self.failed and len(window) < self.width:
                     steps = next(source, _END)
-                    if steps is None:
-                        break
                     if steps is _END:
                         more = False
                         break
                     if not window and not self.inflight and not self.backend.slow:
                         commit(drive(steps, self.backend.complete))
                         continue
-                    task = _Task(steps, (self.admitted,))
+                    task = _Task(steps, self.admitted)
                     self.admitted += 1
                     window.append(task)
                     self._advance(task, None)
@@ -141,19 +130,14 @@ class _Window:
         on a call in flight or ends."""
         try:
             while True:
-                request = task.steps.send(value)
-                if type(request) is Gather:
-                    self._gather(task, request.steps)
-                    return
-                value = self._serve(task, request)
+                value = self._serve(task, task.steps.send(value))
                 if value is _BLOCKED:
                     return
         except StopIteration as stop:
-            value = stop.value
+            task.done = True
+            task.value = stop.value
         except Exception as exc:  # kept for its turn in commit order
             self._fail(task, exc)
-            return
-        self._finish(task, value)
 
     def _serve(self, task: _Task, messages: Sequence[Message]):
         """The completion now, or _BLOCKED after the task is queued on a call."""
@@ -191,68 +175,25 @@ class _Window:
         self.ended.put(call)
 
     def _back_off(self, call: _Call) -> None:
-        """Retry a call after its backoff. Each window entry has at most one
-        backoff thread, which serves its entry's calls one after another."""
-        call.attempt += 1
-        call.error = None
-        entry = call.order[0]
+        """On a thread of the call's own: wait out its backoff, then queue its
+        next attempt. A window entry waits on one call at a time, so it has
+        at most one such thread."""
+        try:
+            self.backend.sleep(self.backend.backoff(call.attempt))
+        except Exception as exc:  # the window thread acts on it
+            call.error = exc
         with self.lock:
-            calls = self.backing_off.setdefault(entry, deque())
-            calls.append(call)
-            if len(calls) > 1:
-                return  # the entry's backoff thread is running
-        threading.Thread(target=self._serve_backoffs, args=(entry, calls),
-                         name="delib-backoff", daemon=True).start()
-
-    def _serve_backoffs(self, entry: int, calls: deque[_Call]) -> None:
-        """On an entry's backoff thread: wait out each call's backoff in
-        turn, then queue its next attempt."""
-        while True:
-            call = calls[0]
-            try:
-                self.backend.sleep(self.backend.backoff(call.attempt))
-            except Exception as exc:  # the window thread acts on it
-                call.error = exc
-            with self.lock:
-                calls.popleft()
-                if not calls:
-                    del self.backing_off[entry]
-                if self.closed:
-                    return
-                if call.error is None:
-                    self._send(call)
-                else:
-                    self.ended.put(call)
-                if not calls:
-                    return
-
-    def _gather(self, task: _Task, steps: list[Steps]) -> None:
-        if not steps:
-            self._advance(task, [])
-            return
-        task.results = [None] * len(steps)
-        task.waiting = len(steps)
-        for i, sub in enumerate(steps):
-            self._advance(_Task(sub, task.order + (i,), task, i), None)
-            if task.done:  # a sub-generator failed, or the last one finished
+            if self.closed:
                 return
-
-    def _finish(self, task: _Task, value) -> None:
-        task.done = True
-        task.value = value
-        parent = task.parent
-        if parent is not None and not parent.done:
-            parent.results[task.index] = value
-            parent.waiting -= 1
-            if not parent.waiting:
-                self._advance(parent, parent.results)
+            if call.error is None:
+                self._send(call)
+            else:
+                self.ended.put(call)
 
     def _fail(self, task: _Task, exc: Exception) -> None:
         task.done = True
         task.error = exc
         self.failed = True  # start nothing new; what is in progress runs out
-        if task.parent is not None and not task.parent.done:
-            self._fail(task.parent, exc)
 
     def _wait(self) -> None:
         """Block until a call ends, then resume the tasks waiting on it in
@@ -265,7 +206,10 @@ class _Window:
         ready = []
         for call in ended:
             if isinstance(call.error, _Transient):
-                self._back_off(call)
+                call.attempt += 1
+                call.error = None
+                threading.Thread(target=self._back_off, args=(call,),
+                                 name="delib-backoff", daemon=True).start()
                 continue
             del self.inflight[call.key]
             tasks = sorted(call.tasks, key=lambda entry: entry[0].order)
@@ -273,8 +217,6 @@ class _Window:
             ready += [(t.order, t, None, messages) for t, messages in tasks[1:]]
         ready.sort(key=lambda entry: entry[0])
         for _order, task, call, messages in ready:
-            if task.parent is not None and task.parent.done:
-                continue  # its Gather already failed
             try:
                 if call is None:
                     value = self._serve(task, messages)

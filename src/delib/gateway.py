@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generator, Sequence
 
-from .errors import ConfigError, SchemaError, TransportError
+from .errors import ConfigError, DataError, SchemaError, TransportError
 from .parsing import ParsedPrediction, parse_prediction
 from .prompting import PromptBundle
 
@@ -182,7 +182,9 @@ class ResponseCache:
 
     root=None keeps entries in memory only (useful for throwaway runs).
     Writes are atomic (a temp file per writer, then a rename) and
-    serialized by a lock per instance; reads are lock-free.
+    serialized by a lock per instance; reads are lock-free. A file that is
+    not an object with a str text raises DataError rather than counting as
+    a miss, which would replace the first observed response.
     """
 
     def __init__(self, root: str | Path | None):
@@ -203,7 +205,12 @@ class ResponseCache:
         path = self._path(backend, key)
         if not path.is_file():
             return None
-        entry = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # also a UnicodeDecodeError
+            raise DataError(f"{path}: not a cache entry: {exc}") from exc
+        if type(entry) is not dict or type(entry.get("text")) is not str:
+            raise DataError(f"{path}: not a cache entry: it needs a string text")
         self._memory[key] = entry
         return entry
 
@@ -475,20 +482,11 @@ class ClassifyOutcome:
 
 
 # Orchestration is written as step generators: a generator yields the
-# messages of each completion it needs and is sent the CompletionResult, or
-# yields a Gather of sub-generators and is sent their return values in
-# order; its return value is the result. drive() serves one with blocking
-# calls; dispatch.run_window() serves many with backend calls overlapped.
-Steps = Generator[object, object, object]
-
-
-class Gather:
-    """A step that runs several step generators; they may run concurrently."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps):
-        self.steps = list(steps)
+# messages of each completion it needs, one at a time, and is sent the
+# CompletionResult; its return value is the result. drive() serves one with
+# blocking calls; dispatch.run_window() serves many with backend calls
+# overlapped.
+Steps = Generator[Sequence[Message], CompletionResult, object]
 
 
 def drive(steps: Steps, complete: Callable[[Sequence[Message]], CompletionResult]):
@@ -497,11 +495,7 @@ def drive(steps: Steps, complete: Callable[[Sequence[Message]], CompletionResult
     value = None
     try:
         while True:
-            request = steps.send(value)
-            if type(request) is Gather:
-                value = [drive(sub, complete) for sub in request.steps]
-            else:
-                value = complete(request)
+            value = complete(steps.send(value))
     except StopIteration as stop:
         return stop.value
 

@@ -92,7 +92,6 @@ class Lexicons:
     future_temporal: frozenset
     inflections: Mapping[str, str]          # surface form -> lemma
     tense: Mapping[str, str]                # surface form -> pres|past
-    verb_lemmas: frozenset                  # all lemmas with inflection entries
     categories: Mapping[str, str]           # token -> its CATEGORY_ORDER category
     digest: str = ""
 
@@ -170,7 +169,6 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
             "first_person": frozenset(first_person),
             "future_temporal": frozenset(future_temporal)}
     return Lexicons(**sets, inflections=inflections, tense=tense,
-                    verb_lemmas=frozenset(verb_lemmas),
                     categories=_resolve_categories(sets, inflections), digest=digest)
 
 

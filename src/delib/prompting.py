@@ -5,7 +5,6 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import islice
 from typing import Callable, Literal, Mapping, Sequence
 
 from .corpus import Corpus, Sentence
@@ -304,26 +303,17 @@ def reasoned_examples_steps(
     pool: Sequence[Example] | None = None,
     templates: TemplateSet = DEFAULT_TEMPLATES,
 ):
-    """Step generator for reasoned_examples(); returns the examples.
-
-    Reasoning is requested together for as many candidates as examples are
-    still missing, so it may run concurrently; more are requested only to
-    replace exclusions. The candidates tried are exactly those a
-    one-at-a-time search would try: it too stops at the k-th valid one.
-    """
-    from .gateway import Gather
-
-    order = iter(_shuffled_candidates(corpus, target_batch, k, seed, pool))
+    """Step generator for reasoned_examples(); returns the examples."""
     out: list[Example] = []
-    while len(out) < k:
-        tries = list(islice(order, k - len(out)))
-        if not tries:
-            raise DataError(
-                f"insufficient example pool for batch {target_batch} after reasoning "
-                f"exclusions: need {k}, have {len(out)}")
-        reasoned = yield Gather(example_reasoning_steps(ex, templates) for ex in tries)
-        out += [ex for ex in reasoned if ex is not None]
-    return out
+    for candidate in _shuffled_candidates(corpus, target_batch, k, seed, pool):
+        example = yield from example_reasoning_steps(candidate, templates)
+        if example is not None:
+            out.append(example)
+            if len(out) == k:
+                return out
+    raise DataError(
+        f"insufficient example pool for batch {target_batch} after reasoning "
+        f"exclusions: need {k}, have {len(out)}")
 
 
 def reasoned_examples(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -63,7 +63,18 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(**d)
+        """The manifest d holds; TypeError unless d has exactly its fields,
+        each of its annotated type."""
+        manifest = cls(**d)
+        for f in fields(cls):
+            value = getattr(manifest, f.name)
+            if f.type == "list[str]":
+                typed = type(value) is list and all(type(v) is str for v in value)
+            else:
+                typed = type(value).__name__ == f.type
+            if not typed:
+                raise TypeError(f"{f.name} is not a {f.type}")
+        return manifest
 
 
 def _now() -> str:
@@ -93,9 +104,18 @@ def _record_line(record: dict) -> str:
     return _RECORD_JSON.encode(record) + "\n"
 
 
+def _is_record(record) -> bool:
+    """An object with a str sentence_id and a final_label of 0, 1 or null."""
+    if type(record) is not dict or type(record.get("sentence_id")) is not str:
+        return False
+    label = record.get("final_label", "")
+    return label is None or (type(label) is int and 0 <= label <= 1)
+
+
 def _iter_records(run_dir: str | Path) -> Iterator[dict]:
     """The records of a run's records.jsonl in file order, skipping blank
-    lines; a line that is not one JSON value raises DataError naming it."""
+    lines; a line that is not one record (see _is_record) raises DataError
+    naming it."""
     path = Path(run_dir) / "records.jsonl"
     if not path.is_file():
         return
@@ -103,21 +123,23 @@ def _iter_records(run_dir: str | Path) -> Iterator[dict]:
         for line_no, line in enumerate(fh, 1):
             try:
                 record, end = scan_json(line, 0)
-                if end == len(line) or line[end:] == "\n":
-                    yield record
-                    continue
+                if end != len(line) and line[end:] != "\n":
+                    raise ValueError("text after the value")
             except (StopIteration, ValueError):
-                pass
-            # Padding, blank lines and malformed lines, as json.loads sees them.
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                # Padding, blank lines and malformed lines, as json.loads sees them.
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(
+                        f"{path}: line {line_no} is not a JSON record ({exc.msg}); "
+                        "if the run was interrupted, resuming it repairs the file"
+                    ) from exc
+            if not _is_record(record):
                 raise DataError(
-                    f"{path}: line {line_no} is not a JSON record ({exc.msg}); "
-                    "if the run was interrupted, resuming it repairs the file"
-                ) from exc
+                    f"{path}: line {line_no} is not a prediction record: it needs a "
+                    "string sentence_id and a final_label of 0, 1 or null")
             yield record
 
 
@@ -199,7 +221,9 @@ def run_variant(
     zero-shot run for the same backend. stop_after limits the number of
     newly dispatched sentences (used to exercise interruption).
 
-    Backend calls for several sentences may be in flight at once (up to the
+    The example set of every batch to dispatch is built first, so a
+    failure to build one stops the run before it writes any record. Then
+    backend calls for several sentences may be in flight at once (up to the
     backend's max_in_flight), but records are written in scope order and
     are the same as when sentences are dispatched one at a time.
     """
@@ -250,27 +274,15 @@ def run_variant(
 
     pending = [s for s in scope if s.id not in existing]
     todo = pending if stop_after is None else pending[:stop_after]
-    examples_by_batch: dict[str, ExampleSet | None] = {}
+    # the batches' example sets, built with their backend calls overlapped
+    todo_batches = list(dict.fromkeys(s.batch for s in todo))
+    example_sets: list[ExampleSet | None] = []
+    run_window(backend, (_batch_examples_steps(variant, corpus, batch, k, seed, templates,
+                                               zero_shot_predictions)
+                         for batch in todo_batches), example_sets.append)
+    examples_by_batch = dict(zip(todo_batches, example_sets))
 
-    def examples_steps(batch: str) -> Steps:
-        examples_by_batch[batch] = yield from _batch_examples_steps(
-            variant, corpus, batch, k, seed, templates, zero_shot_predictions)
-
-    def source() -> Iterator[Steps | None]:
-        """Each batch's example set, then its sentences once the set exists."""
-        started: set[str] = set()
-        for sentence in todo:
-            if sentence.batch not in started:
-                started.add(sentence.batch)
-                yield examples_steps(sentence.batch)
-            while sentence.batch not in examples_by_batch:
-                yield None
-            yield _dispatch_steps(sentence, variant, examples_by_batch[sentence.batch],
-                                  templates, repair_policy)
-
-    def commit(record: dict | None) -> None:
-        if record is None:  # an example set, stored by examples_steps
-            return
+    def commit(record: dict) -> None:
         record["run_id"] = run_id
         records_fh.write(_record_line(record))
         manifest.dispatched += 1
@@ -282,7 +294,8 @@ def run_variant(
             progress(manifest.dispatched, len(pending))
 
     with records_path.open("a", encoding="utf-8") as records_fh:
-        run_window(backend, source(), commit)
+        run_window(backend, (_dispatch_steps(s, variant, examples_by_batch[s.batch], templates,
+                                             repair_policy) for s in todo), commit)
     if len(todo) < len(pending):
         manifest.status = "interrupted"
     else:

@@ -1,7 +1,11 @@
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from delib.cli import main
 from delib.config import build_backend, load_settings
@@ -12,6 +16,10 @@ from conftest import build_corpus
 
 @pytest.fixture
 def workspace(tmp_path):
+    return make_workspace(tmp_path)
+
+
+def make_workspace(tmp_path):
     """Config file, mock backend answering from the prompt, and a corpus."""
     config = tmp_path / "config.yaml"
     config.write_text(
@@ -274,6 +282,155 @@ class TestAnalyzeAndDisagreements:
                       "--corpus", data) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["n_disagreements"] == 0  # constant mock always agrees
+
+
+def run_zero_shot(config, data):
+    return invoke(config, "run", "--variant", "ZERO_SHOT", "--backend", "echo",
+                  "--corpus", data)
+
+
+def only_run_dir(tmp_path):
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    return run_dir
+
+
+class TestDamagedArtifacts:
+    """Each damaged file exits 4 through main() with its path in the message."""
+
+    @pytest.mark.parametrize("line", ['{"foo": 1}', "[1, 2]", "7",
+                                      '{"sentence_id": 3, "final_label": 1}',
+                                      '{"sentence_id": "x"}'])
+    def test_eval_of_a_line_that_is_not_a_record(self, workspace, capsys, line):
+        tmp_path, config, data = workspace
+        assert run_zero_shot(config, data) == 0
+        records = only_run_dir(tmp_path) / "records.jsonl"
+        with records.open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert invoke(config, "eval", "--run", records.parent.name, "--corpus", data) == 4
+        err = capsys.readouterr().err
+        assert str(records) in err and "line 7 is not a prediction record" in err
+
+    @pytest.mark.parametrize("label", ['"1"', "true", "2", "1.0"])
+    def test_a_label_that_is_not_0_1_or_null_is_not_scored(self, workspace, capsys, label):
+        tmp_path, config, data = workspace
+        assert run_zero_shot(config, data) == 0
+        records = only_run_dir(tmp_path) / "records.jsonl"
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert '"final_label": 1,' in lines[0]
+        lines[0] = lines[0].replace('"final_label": 1,', f'"final_label": {label},')
+        records.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert invoke(config, "eval", "--run", records.parent.name, "--corpus", data) == 4
+        assert "line 1 is not a prediction record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("batches", 5), ("batches", [1]),
+                                             ("run_id", 5), ("seed", "0"), ("k", True)])
+    def test_eval_of_a_manifest_field_of_the_wrong_type(self, workspace, capsys,
+                                                         field, value):
+        tmp_path, config, data = workspace
+        assert run_zero_shot(config, data) == 0
+        path = only_run_dir(tmp_path) / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest[field] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert invoke(config, "eval", "--run", path.parent.name, "--corpus", data) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err and f"{field} is not a" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "not an object", "no text",
+                                        "text not a string"])
+    def test_run_over_a_damaged_cache_entry(self, workspace, capsys, damage):
+        tmp_path, config, data = workspace
+        assert run_zero_shot(config, data) == 0
+        shutil.rmtree(tmp_path / "runs")
+        entry = sorted((tmp_path / "cache").rglob("*.json"))[0]
+        text = entry.read_text(encoding="utf-8")
+        cached = json.loads(text)
+        if damage == "truncated":
+            text = text[:len(text) // 2]
+        elif damage == "not an object":
+            text = json.dumps([cached])
+        elif damage == "no text":
+            del cached["text"]
+            text = json.dumps(cached)
+        else:
+            text = json.dumps({**cached, "text": 1})
+        entry.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run_zero_shot(config, data) == 4
+        err = capsys.readouterr().err
+        assert f"{entry}: not a cache entry" in err
+        assert entry.read_text(encoding="utf-8") == text  # not replaced by a new answer
+
+    def test_runs_dir_that_is_a_file(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        (tmp_path / "runs").write_text("", encoding="utf-8")
+        assert run_zero_shot(config, data) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "runs") in err
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A workspace with a finished ZERO_SHOT run and its disk cache."""
+    root = tmp_path_factory.mktemp("finished")
+    make_workspace(root)
+    assert run_zero_shot(root / "config.yaml", root / "corpus.jsonl") == 0
+    return root
+
+
+_JSON_VALUES = [None, True, 0, 2, 1.5, "", "1", "K1", [], ["K1"], [1, 2], {}, {"a": 1}]
+
+
+@given(target=st.sampled_from(["records", "manifest", "cache"]),
+       damage=st.sampled_from(["truncate", "drop a key", "wrong type", "non-object"]),
+       data=st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage, data):
+    """Whatever the damage to a run's records, manifest or a cache entry,
+    eval, compare and run (resuming, and into a fresh runs dir reading the
+    cache) return a documented exit code and never raise."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "w"
+        shutil.copytree(finished_run, root)
+        run_dir = only_run_dir(root)
+        if target == "cache":
+            path = data.draw(st.sampled_from(sorted((root / "cache").rglob("*.json"))))
+        else:
+            path = run_dir / ("records.jsonl" if target == "records" else "manifest.json")
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True) if target == "records" else [text]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if damage == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            obj = json.loads(lines[i])
+            if damage == "non-object":
+                obj = data.draw(st.sampled_from(_JSON_VALUES))
+            else:
+                key = data.draw(st.sampled_from(sorted(obj)))
+                if damage == "drop a key":
+                    del obj[key]
+                else:
+                    obj[key] = data.draw(st.sampled_from(_JSON_VALUES))
+            lines[i] = json.dumps(obj) + ("\n" if lines[i].endswith("\n") else "")
+            text = "".join(lines)
+        path.write_text(text, encoding="utf-8")
+
+        config, corpus = root / "config.yaml", root / "corpus.jsonl"
+        fresh = root / "fresh.yaml"
+        fresh.write_text(config.read_text(encoding="utf-8").replace("runs_dir: runs",
+                                                                    "runs_dir: fresh"),
+                         encoding="utf-8")
+        codes = [invoke(config, "eval", "--run", run_dir.name, "--corpus", corpus),
+                 invoke(config, "compare", "--runs", run_dir.name, "--corpus", corpus),
+                 run_zero_shot(config, corpus),
+                 run_zero_shot(fresh, corpus)]
+        capsys.readouterr()
+        assert all(code in range(5) for code in codes), codes
 
 
 class TestConfig:

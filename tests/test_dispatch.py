@@ -18,7 +18,7 @@ from delib.cli import main
 from delib.corpus import Corpus, Sentence, sentence_id
 from delib.errors import TransportError
 from delib.dispatch import run_window
-from delib.gateway import (RECENT_CALLS, BackendConfig, ChatBackend, Gather, HttpTransport,
+from delib.gateway import (RECENT_CALLS, BackendConfig, ChatBackend, HttpTransport,
                            Limits, MockRule, ResponseCache, ScriptedTransport,
                            _Transient, mock_backend)
 from delib.prompting import Variant
@@ -363,23 +363,18 @@ class TestWindowScheduling:
         release = threading.Event()
         transport = LoggedTransport(hold={f"x{i}": release for i in range(1, 8)})
         backend = window_backend(transport, 2)
-        answered = []
+        timer = threading.Timer(0.05, release.set)
 
         def head():
-            answered.append((yield [{"role": "user", "content": "h1"}]))
+            yield [{"role": "user", "content": "h1"}]
+            timer.start()  # x1..x7 are admitted by now, and h2 is queued at once
             second = yield [{"role": "user", "content": "h2"}]
             return ["h1", second.text]
 
-        def source():
-            yield head()
-            for i in range(1, 8):
-                yield asking(f"x{i}")
-            while not answered:
-                yield None  # resumed after the window has queued h2
-            release.set()
-
         committed = []
-        run_window(backend, source(), committed.append)
+        run_window(backend, iter([head()] + [asking(f"x{i}") for i in range(1, 8)]),
+                   committed.append)
+        timer.join()
         assert committed == [["h1", "h2"]] + [[f"x{i}"] for i in range(1, 8)]
         log = transport.log
         assert all(log.index("h2") < log.index(f"x{i}") for i in range(3, 8)), log
@@ -392,27 +387,6 @@ class TestWindowScheduling:
             run_window(backend, iter([asking(f"p{i}") for i in range(6)]), committed.append)
         assert committed == [["p0"], ["p1"], ["p2"]]
         assert transport.log.count("p3") == 3
-
-    def test_one_backoff_thread_per_window_entry(self):
-        # Three calls of one entry fail at once, and their backoffs take
-        # real time; one thread serves them one after another.
-        transport = LoggedTransport(faults={f"g{i}": ["HTTP 503"] for i in range(3)})
-        peak = []
-
-        def backoff(_seconds):
-            peak.append(sum(t.name == "delib-backoff" for t in threading.enumerate()))
-            time.sleep(0.02)
-
-        def gathered():
-            return (yield Gather(asking(f"g{i}") for i in range(3)))
-
-        backend = window_backend(transport, 4, sleep=backoff)
-        committed = []
-        run_window(backend, iter([gathered(), asking("after")]), committed.append)
-        assert committed == [[["g0"], ["g1"], ["g2"]], ["after"]]
-        assert peak == [1, 1, 1]
-        pool = [t for t in threading.enumerate() if t.name.startswith("delib-dispatch")]
-        assert not pool
 
     def test_many_threads_with_a_short_switch_interval(self):
         """More pool threads than cores, retries re-entering the queue, and
@@ -431,6 +405,7 @@ class TestWindowScheduling:
             sys.setswitchinterval(interval)
         assert committed == [[f"s{i}", f"t{i}"] for i in range(n)]
         assert len(transport.log) == 2 * n + sum(i % 3 for i in range(n))
+        assert not [t for t in threading.enumerate() if t.name.startswith("delib-dispatch")]
 
     def test_faulty_grid_never_waits_in_real_time(self, serial_grid, tmp_path):
         # Backoffs of 0.5 s, 1 s and 2 s through a sleep that returns at once.
