@@ -13,7 +13,7 @@ from .errors import DataError
 # wraps them by these names.
 from .gateway import ChatBackend, Steps, classify, classify_steps, drive
 from .prompting import (VARIANTS, Example, ExampleSet, PromptBundle, Variant, render_cot,
-                        render_cot_few_shot, render_zero_shot)
+                        render_cot_few_shot, render_prompt, render_zero_shot)
 from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 log = logging.getLogger(__name__)
@@ -27,6 +27,11 @@ AGREEMENT = "AGREEMENT"
 TIEBREAK = "TIEBREAK"
 CRITIC_ACCEPTED = "CRITIC_ACCEPTED"
 JUDGE_DECIDED = "JUDGE_DECIDED"
+RESOLUTIONS = (AGREEMENT, TIEBREAK, CRITIC_ACCEPTED, JUDGE_DECIDED)
+
+
+def _is_label(value) -> bool:
+    return type(value) is int and 0 <= value <= 1
 
 
 class OrchestrationFailure(Exception):
@@ -53,7 +58,14 @@ class AgentStep:
                 "label": self.label}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AgentStep":
+    def from_dict(cls, d) -> "AgentStep":
+        """The step d holds; TypeError unless d is an object with a str role
+        and digests, an object output and a label of 0 or 1."""
+        if not (type(d) is dict and _is_label(d.get("label"))
+                and type(d.get("output")) is dict
+                and all(type(d.get(k)) is str for k in ("role", "prompt_digest", "raw_digest"))):
+            raise TypeError("a step is not an agent step: it needs a str role and digests, "
+                            "an object output and a label of 0 or 1")
         return cls(role=d["role"], prompt_digest=d["prompt_digest"],
                    output=d["output"], raw_digest=d["raw_digest"], label=d["label"])
 
@@ -71,7 +83,15 @@ class AgentTrace:
                 "final_label": self.final_label, "resolution": self.resolution}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AgentTrace":
+    def from_dict(cls, d) -> "AgentTrace":
+        """The trace d holds; TypeError unless d is an object with a str
+        sentence_id, a list of at least two steps (see AgentStep.from_dict), a
+        final_label of 0 or 1 and a known resolution."""
+        if not (type(d) is dict and type(d.get("sentence_id")) is str
+                and type(d.get("steps")) is list and len(d["steps"]) >= 2
+                and _is_label(d.get("final_label")) and d.get("resolution") in RESOLUTIONS):
+            raise TypeError("not an agent trace: it needs a str sentence_id, a list of at "
+                            "least two steps, a final_label of 0 or 1 and a known resolution")
         return cls(sentence_id=d["sentence_id"],
                    steps=[AgentStep.from_dict(s) for s in d["steps"]],
                    final_label=d["final_label"], resolution=d["resolution"])
@@ -143,20 +163,13 @@ def majority_vote_steps(sentence: Sentence, templates: TemplateSet = DEFAULT_TEM
     first is the first vote's prompt, by default the zero-shot one."""
     step1, pred1 = yield from _agent_step(
         PREDICTOR, first or render_zero_shot(sentence, templates), repair_policy)
-    second_bundle = PromptBundle(
-        system=templates.render("vote_second.system"),
-        user=templates.render("vote_second.user", sentence=sentence.text,
-                              first_label=pred1.label),
-        expected_schema="SIMPLE", sentence_id=sentence.id)
+    second_bundle = render_prompt("vote_second", sentence, templates, first_label=pred1.label)
     step2, pred2 = yield from _agent_step(SECOND, second_bundle, repair_policy)
     if pred1.label == pred2.label:
         return AgentTrace(sentence_id=sentence.id, steps=[step1, step2],
                           final_label=pred1.label, resolution=AGREEMENT)
-    tiebreak_bundle = PromptBundle(
-        system=templates.render("vote_tiebreak.system"),
-        user=templates.render("vote_tiebreak.user", sentence=sentence.text,
-                              first_label=pred1.label, second_label=pred2.label),
-        expected_schema="SIMPLE", sentence_id=sentence.id)
+    tiebreak_bundle = render_prompt("vote_tiebreak", sentence, templates,
+                                    first_label=pred1.label, second_label=pred2.label)
     step3, pred3 = yield from _agent_step(JUDGE, tiebreak_bundle, repair_policy)
     return AgentTrace(sentence_id=sentence.id, steps=[step1, step2, step3],
                       final_label=pred3.label, resolution=TIEBREAK)
@@ -180,12 +193,8 @@ def predictor_critic_judge_steps(
     predictor_bundle = first or render_cot(sentence, templates)
     step_p, pred = yield from _agent_step(PREDICTOR, predictor_bundle, repair_policy)
 
-    critic_bundle = PromptBundle(
-        system=templates.render("critic.system"),
-        user=templates.render("critic.user", sentence=sentence.text,
-                              step1=pred.step1, step2=pred.step2,
-                              predictor_label=pred.label),
-        expected_schema="CRITIC", sentence_id=sentence.id)
+    critic_bundle = render_prompt("critic", sentence, templates, step1=pred.step1,
+                                  step2=pred.step2, predictor_label=pred.label)
     step_c, critic = yield from _agent_step(CRITIC, critic_bundle, repair_policy)
 
     assessment = critic.extra.get("assessment")
@@ -204,15 +213,10 @@ def predictor_critic_judge_steps(
         return AgentTrace(sentence_id=sentence.id, steps=[step_p, step_c],
                           final_label=pred.label, resolution=CRITIC_ACCEPTED)
 
-    judge_bundle = PromptBundle(
-        system=templates.render("judge.system"),
-        user=templates.render("judge.user", sentence=sentence.text,
-                              step1=pred.step1, step2=pred.step2,
-                              predictor_label=pred.label,
-                              assessment=assessment,
-                              issues=critic.extra.get("issues", ""),
-                              critic_label=critic.label),
-        expected_schema="JUDGE", sentence_id=sentence.id)
+    judge_bundle = render_prompt("judge", sentence, templates, step1=pred.step1,
+                                 step2=pred.step2, predictor_label=pred.label,
+                                 assessment=assessment, issues=critic.extra.get("issues", ""),
+                                 critic_label=critic.label)
     step_j, judge = yield from _agent_step(JUDGE, judge_bundle, repair_policy)
     return AgentTrace(sentence_id=sentence.id, steps=[step_p, step_c, step_j],
                       final_label=judge.label, resolution=JUDGE_DECIDED)
@@ -232,7 +236,7 @@ def run_predictor_critic_judge(
     predictor-critic-judge variant in VARIANTS; examples are the reasoned
     examples of a variant with an example pool."""
     spec = VARIANTS[predictor_variant]
-    if spec.agents or not any(s.agents == "critic" and s.prompt is spec.prompt
+    if spec.agents or not any(s.agents == "critic" and s.first == spec.first
                               for s in VARIANTS.values()):
         raise DataError(f"unsupported predictor variant: {predictor_variant}")
     example_set = None

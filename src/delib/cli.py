@@ -248,8 +248,14 @@ def disagreements(settings, run_id, corpus_path):
     corpus = _load_corpus(corpus_path)
     run_dir = _find_run_dir(settings, run_id)
     records = runner.load_records(run_dir)
-    traces = [AgentTrace.from_dict(rec["trace"])
-              for rec in records.values() if rec.get("trace")]
+    traces = []
+    for sentence_id, rec in records.items():
+        if rec.get("trace"):
+            try:
+                traces.append(AgentTrace.from_dict(rec["trace"]))
+            except TypeError as exc:
+                raise DataError(f"{run_dir / 'records.jsonl'}: the trace of {sentence_id}: "
+                                f"{exc}") from exc
     if not traces:
         raise DataError(f"run {run_id} holds no agent traces")
     report = analyze_disagreements(traces, corpus)

@@ -7,10 +7,6 @@ class DelibError(Exception):
     exit_code = 1
 
 
-class UsageError(DelibError):
-    exit_code = 1
-
-
 class ConfigError(DelibError):
     exit_code = 2
 

@@ -136,10 +136,7 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
     inflections: dict[str, str] = {}
     tense: dict[str, str] = {}
     irregular_lemmas: set[str] = set()
-    irregular_path = base / "irregular.txt"
-    if not irregular_path.is_file():
-        irregular_path = _BUNDLED / "irregular.txt"
-    for line in _read_wordlist(irregular_path):
+    for line in read("irregular"):
         parts = line.split()
         if len(parts) != 3 or parts[2] not in ("pres", "past"):
             raise ConfigError(f"irregular.txt: bad line {line!r}")

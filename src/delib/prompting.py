@@ -5,7 +5,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import DataError
@@ -46,15 +46,6 @@ def _label_name(label: int) -> str:
     return "ALWAYS DELIBERATIVE" if label else "NOT ALWAYS DELIBERATIVE"
 
 
-def render_zero_shot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    return PromptBundle(
-        system=templates.render("zero_shot.system"),
-        user=templates.render("zero_shot.user", sentence=sentence.text),
-        expected_schema="SIMPLE",
-        sentence_id=sentence.id,
-    )
-
-
 @dataclass(frozen=True)
 class ExampleSet:
     """The examples for one target batch and their prompt block, rendered
@@ -84,84 +75,66 @@ class ExampleSet:
         return cls(examples, "\n\n".join(blocks))
 
 
-def render_few_shot(sentence: Sentence, examples: Sequence[Example],
-                    templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    return render_few_shot_with(sentence, ExampleSet.few_shot(examples, templates), templates)
+#: kind -> (system template, user template, expected schema) of each prompt
+#: the package sends.
+PROMPTS: dict[str, tuple[str, str, str]] = {
+    "zero_shot": ("zero_shot.system", "zero_shot.user", "SIMPLE"),
+    "few_shot": ("few_shot.system", "few_shot.user", "SIMPLE"),
+    "cot": ("cot.system", "cot.user", "COT"),
+    "cot_few_shot": ("cot.system", "cot_few_shot.user", "COT"),
+    "reasoning": ("reasoning.system", "reasoning.user", "COT"),
+    "vote_second": ("vote_second.system", "vote_second.user", "SIMPLE"),
+    "vote_tiebreak": ("vote_tiebreak.system", "vote_tiebreak.user", "SIMPLE"),
+    "critic": ("critic.system", "critic.user", "CRITIC"),
+    "judge": ("judge.system", "judge.user", "JUDGE"),
+}
 
 
-def render_few_shot_with(sentence: Sentence, example_set: ExampleSet,
-                         templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    """render_few_shot() with the example block already rendered."""
-    if not example_set.examples:
-        raise DataError("render_few_shot: no examples supplied")
-    _check_examples(sentence, example_set.examples)
+def render_prompt(kind: str, sentence: Sentence, templates: TemplateSet,
+                  **values) -> PromptBundle:
+    """The PROMPTS[kind] prompt about sentence; values fill the user
+    template's placeholders other than {{sentence}}."""
+    system, user, schema = PROMPTS[kind]
     return PromptBundle(
-        system=templates.render("few_shot.system"),
-        user=templates.render("few_shot.user", examples=example_set.block,
-                              sentence=sentence.text),
-        expected_schema="SIMPLE",
+        system=templates.render(system),
+        user=templates.render(user, sentence=sentence.text, **values),
+        expected_schema=schema,
         sentence_id=sentence.id,
     )
+
+
+def render_zero_shot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
+    return render_prompt("zero_shot", sentence, templates)
+
+
+def render_few_shot(sentence: Sentence, examples: Sequence[Example],
+                    templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
+    return VARIANTS[Variant.FEW_SHOT].prompt(
+        sentence, ExampleSet.few_shot(examples, templates), templates)
 
 
 def render_cot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    return PromptBundle(
-        system=templates.render("cot.system"),
-        user=templates.render("cot.user", sentence=sentence.text),
-        expected_schema="COT",
-        sentence_id=sentence.id,
-    )
+    return render_prompt("cot", sentence, templates)
 
 
 def render_cot_few_shot(sentence: Sentence, examples: Sequence[Example],
                         templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    return render_cot_few_shot_with(sentence, ExampleSet.cot(examples, templates), templates)
-
-
-def render_cot_few_shot_with(sentence: Sentence, example_set: ExampleSet,
-                             templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    """render_cot_few_shot() with the example block already rendered."""
-    if not example_set.examples:
-        raise DataError("render_cot_few_shot: no examples supplied")
-    _check_examples(sentence, example_set.examples)
-    return PromptBundle(
-        system=templates.render("cot.system"),
-        user=templates.render("cot_few_shot.user", examples=example_set.block,
-                              sentence=sentence.text),
-        expected_schema="COT",
-        sentence_id=sentence.id,
-    )
-
-
-def _check_examples(sentence: Sentence, examples: Sequence[Example]) -> None:
-    for ex in examples:
-        if ex.sentence.batch == sentence.batch:
-            raise DataError(
-                f"example {ex.sentence.id} comes from the target batch {sentence.batch}")
-
-
-def _zero_shot_prompt(sentence: Sentence, _example_set: ExampleSet | None,
-                      templates: TemplateSet) -> PromptBundle:
-    return render_zero_shot(sentence, templates)
-
-
-def _cot_prompt(sentence: Sentence, _example_set: ExampleSet | None,
-                templates: TemplateSet) -> PromptBundle:
-    return render_cot(sentence, templates)
+    return VARIANTS[Variant.COT_FEW_SHOT_ERROR].prompt(
+        sentence, ExampleSet.cot(examples, templates), templates)
 
 
 @dataclass(frozen=True)
 class VariantSpec:
     """What a prompting variant does for one sentence.
 
-    prompt renders the single agent's prompt, or the first agent's, from
-    (sentence, example_set, templates); example_set is None without a pool.
-    examples is the few-shot pool of each target batch: None, "random",
-    "error" (the zero-shot run's mistakes) or "reasoned_error" (those with
-    generated CoT reasoning). agents is the orchestration: None for a single
-    agent, "vote" (majority vote) or "critic" (predictor-critic-judge).
+    first is the PROMPTS kind of the single agent's prompt, or the first
+    agent's. examples is the few-shot pool of each target batch: None,
+    "random", "error" (the zero-shot run's mistakes) or "reasoned_error"
+    (those with generated CoT reasoning). agents is the orchestration: None
+    for a single agent, "vote" (majority vote) or "critic"
+    (predictor-critic-judge).
     """
-    prompt: Callable[[Sentence, ExampleSet | None, TemplateSet], PromptBundle]
+    first: str
     examples: Literal["random", "error", "reasoned_error"] | None = None
     agents: Literal["vote", "critic"] | None = None
 
@@ -170,20 +143,32 @@ class VariantSpec:
         """The example pool is built from a zero-shot run's predictions."""
         return self.examples in ("error", "reasoned_error")
 
+    def prompt(self, sentence: Sentence, example_set: ExampleSet | None,
+               templates: TemplateSet) -> PromptBundle:
+        """The first agent's prompt; example_set is None without a pool."""
+        if self.examples is None:
+            return render_prompt(self.first, sentence, templates)
+        if not example_set.examples:
+            raise DataError(f"render_{self.first}: no examples supplied")
+        for ex in example_set.examples:
+            if ex.sentence.batch == sentence.batch:
+                raise DataError(
+                    f"example {ex.sentence.id} comes from the target batch {sentence.batch}")
+        return render_prompt(self.first, sentence, templates, examples=example_set.block)
+
 
 #: One spec per variant, in dependency order: ZERO_SHOT comes before every
 #: variant that needs a zero-shot run.
 VARIANTS: dict[Variant, VariantSpec] = {
-    Variant.ZERO_SHOT: VariantSpec(_zero_shot_prompt),
-    Variant.FEW_SHOT: VariantSpec(render_few_shot_with, examples="random"),
-    Variant.FEW_SHOT_ERROR: VariantSpec(render_few_shot_with, examples="error"),
-    Variant.COT: VariantSpec(_cot_prompt),
-    Variant.COT_FEW_SHOT_ERROR: VariantSpec(render_cot_few_shot_with,
-                                            examples="reasoned_error"),
-    Variant.MULTI_AGENT: VariantSpec(_zero_shot_prompt, agents="vote"),
-    Variant.COT_MULTI_AGENT: VariantSpec(_cot_prompt, agents="critic"),
+    Variant.ZERO_SHOT: VariantSpec("zero_shot"),
+    Variant.FEW_SHOT: VariantSpec("few_shot", examples="random"),
+    Variant.FEW_SHOT_ERROR: VariantSpec("few_shot", examples="error"),
+    Variant.COT: VariantSpec("cot"),
+    Variant.COT_FEW_SHOT_ERROR: VariantSpec("cot_few_shot", examples="reasoned_error"),
+    Variant.MULTI_AGENT: VariantSpec("zero_shot", agents="vote"),
+    Variant.COT_MULTI_AGENT: VariantSpec("cot", agents="critic"),
     Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT: VariantSpec(
-        render_cot_few_shot_with, examples="reasoned_error", agents="critic"),
+        "cot_few_shot", examples="reasoned_error", agents="critic"),
 }
 
 
@@ -250,19 +235,13 @@ def build_error_pool(
 
 def render_reasoning_prompt(example: Example, templates: TemplateSet = DEFAULT_TEMPLATES,
                             attempt: int = 0) -> PromptBundle:
-    user = templates.render("reasoning.user", sentence=example.sentence.text,
-                            label_name=_label_name(example.gold_label),
-                            label=example.gold_label)
+    bundle = render_prompt("reasoning", example.sentence, templates,
+                           label_name=_label_name(example.gold_label), label=example.gold_label)
     if attempt:
         # Changes the cache key so the retry is not served the cached
         # contradicting response.
-        user += f"\n\n(retry {attempt})"
-    return PromptBundle(
-        system=templates.render("reasoning.system"),
-        user=user,
-        expected_schema="COT",
-        sentence_id=example.sentence.id,
-    )
+        bundle = replace(bundle, user=f"{bundle.user}\n\n(retry {attempt})")
+    return bundle
 
 
 def example_reasoning_steps(example: Example, templates: TemplateSet = DEFAULT_TEMPLATES,

@@ -6,6 +6,7 @@ files by name.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -26,7 +27,19 @@ class TemplateSet:
 
     @property
     def version(self) -> str:
-        return self.load("VERSION").strip()
+        """VERSION.txt, then "+" and a digest of the override templates that
+        differ from the bundled ones of the same name, if any."""
+        version = self.load("VERSION").strip()
+        if self.directory is None:
+            return version
+        changed = "".join(
+            f"{bundled.stem}\0{self.load(bundled.stem)}\0"
+            for bundled in sorted(_BUNDLED.glob("*.txt"))
+            if bundled.stem != "VERSION"
+            and self.load(bundled.stem) != bundled.read_text(encoding="utf-8"))
+        if not changed:
+            return version
+        return f"{version}+{hashlib.sha256(changed.encode()).hexdigest()[:10]}"
 
     def _path(self, name: str) -> Path:
         filename = f"{name}.txt"

@@ -150,10 +150,11 @@ class TestPredictorCriticJudge:
                 predictor_variant=Variant.COT_FEW_SHOT_ERROR)
 
     def test_unsupported_predictor_variant(self):
-        with pytest.raises(DataError, match="unsupported predictor"):
-            run_predictor_critic_judge(
-                make_sentence("x", "K1"), pcj_backend(1, "sound", 1),
-                predictor_variant=Variant.ZERO_SHOT)
+        for variant in set(Variant) - {Variant.COT, Variant.COT_FEW_SHOT_ERROR}:
+            with pytest.raises(DataError, match="unsupported predictor"):
+                run_predictor_critic_judge(
+                    make_sentence("x", "K1"), pcj_backend(1, "sound", 1),
+                    predictor_variant=variant)
 
     def test_predictor_schema_failure(self):
         backend = mock_backend(default="no json at all")
@@ -179,6 +180,36 @@ class TestTraceSerialization:
         assert AgentTrace.from_dict(trace.to_dict()) == trace
         # json-safe
         assert AgentTrace.from_dict(json.loads(json.dumps(trace.to_dict()))) == trace
+
+    @pytest.mark.parametrize("damage", [
+        "not an object", "no sentence_id", "no steps", "one step",
+        "final_label true", "unknown resolution", "step not an object",
+        "step without prompt_digest", "step label 2", "step output a list"])
+    def test_from_dict_rejects_a_damaged_trace(self, damage):
+        d = trace_for("abc", 1, 0, 0).to_dict()
+        step = d["steps"][0]
+        if damage == "not an object":
+            d = 5
+        elif damage == "no sentence_id":
+            del d["sentence_id"]
+        elif damage == "no steps":
+            del d["steps"]
+        elif damage == "one step":
+            del d["steps"][1:]
+        elif damage == "final_label true":
+            d["final_label"] = True
+        elif damage == "unknown resolution":
+            d["resolution"] = "VOTE"
+        elif damage == "step not an object":
+            d["steps"][1] = 3
+        elif damage == "step without prompt_digest":
+            del step["prompt_digest"]
+        elif damage == "step label 2":
+            step["label"] = 2
+        else:
+            step["output"] = []
+        with pytest.raises(TypeError, match="not an agent"):
+            AgentTrace.from_dict(d)
 
 
 def trace_for(sid, predictor, critic_label, final, resolution=JUDGE_DECIDED):

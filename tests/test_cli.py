@@ -289,6 +289,11 @@ def run_zero_shot(config, data):
                   "--corpus", data)
 
 
+def run_multi_agent(config, data):
+    return invoke(config, "run", "--variant", "MULTI_AGENT", "--backend", "offline",
+                  "--corpus", data)
+
+
 def only_run_dir(tmp_path):
     (run_dir,) = (tmp_path / "runs").iterdir()
     return run_dir
@@ -310,6 +315,26 @@ class TestDamagedArtifacts:
         assert invoke(config, "eval", "--run", records.parent.name, "--corpus", data) == 4
         err = capsys.readouterr().err
         assert str(records) in err and "line 7 is not a prediction record" in err
+
+    @pytest.mark.parametrize("trace", [5, {"steps": 3}, {"sentence_id": "x"},
+                                       "a step without prompt_digest"])
+    def test_disagreements_over_a_damaged_trace(self, workspace, capsys, trace):
+        tmp_path, config, data = workspace
+        assert run_multi_agent(config, data) == 0
+        records = only_run_dir(tmp_path) / "records.jsonl"
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        if trace == "a step without prompt_digest":
+            trace = record["trace"]
+            del trace["steps"][0]["prompt_digest"]
+        record["trace"] = trace
+        lines[1] = json.dumps(record) + "\n"
+        records.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert invoke(config, "disagreements", "--run", records.parent.name,
+                      "--corpus", data) == 4
+        err = capsys.readouterr().err
+        assert f"{records}: the trace of {record['sentence_id']}: " in err
 
     @pytest.mark.parametrize("label", ['"1"', "true", "2", "1.0"])
     def test_a_label_that_is_not_0_1_or_null_is_not_scored(self, workspace, capsys, label):
@@ -374,10 +399,12 @@ class TestDamagedArtifacts:
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
-    """A workspace with a finished ZERO_SHOT run and its disk cache."""
+    """A workspace with a finished ZERO_SHOT run, a finished MULTI_AGENT run
+    and their disk cache."""
     root = tmp_path_factory.mktemp("finished")
     make_workspace(root)
     assert run_zero_shot(root / "config.yaml", root / "corpus.jsonl") == 0
+    assert run_multi_agent(root / "config.yaml", root / "corpus.jsonl") == 0
     return root
 
 
@@ -391,12 +418,13 @@ _JSON_VALUES = [None, True, 0, 2, 1.5, "", "1", "K1", [], ["K1"], [1, 2], {}, {"
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage, data):
     """Whatever the damage to a run's records, manifest or a cache entry,
-    eval, compare and run (resuming, and into a fresh runs dir reading the
-    cache) return a documented exit code and never raise."""
+    eval, compare, disagreements and run (resuming, and into a fresh runs dir
+    reading the cache) return a documented exit code and never raise."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "w"
         shutil.copytree(finished_run, root)
-        run_dir = only_run_dir(root)
+        run_dir = data.draw(st.sampled_from(sorted((root / "runs").iterdir())))
+        (multi_agent_dir,) = (root / "runs").glob("multi_agent-*")
         if target == "cache":
             path = data.draw(st.sampled_from(sorted((root / "cache").rglob("*.json"))))
         else:
@@ -427,8 +455,12 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
                          encoding="utf-8")
         codes = [invoke(config, "eval", "--run", run_dir.name, "--corpus", corpus),
                  invoke(config, "compare", "--runs", run_dir.name, "--corpus", corpus),
+                 invoke(config, "disagreements", "--run", multi_agent_dir.name,
+                        "--corpus", corpus),
                  run_zero_shot(config, corpus),
-                 run_zero_shot(fresh, corpus)]
+                 run_zero_shot(fresh, corpus),
+                 run_multi_agent(config, corpus),
+                 run_multi_agent(fresh, corpus)]
         capsys.readouterr()
         assert all(code in range(5) for code in codes), codes
 

@@ -1,4 +1,5 @@
 import re
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,15 @@ class TestLexiconLoading:
         assert lex.stative == frozenset({"flibber"})
         assert "suggest" in lex.reporting  # falls back to bundled file
         assert lex.inflections["flibbers"] == "flibber"
+
+    def test_missing_irregular_file(self, tmp_path, monkeypatch):
+        import delib.indicators
+        bundled = tmp_path / "bundled"
+        shutil.copytree(delib.indicators._BUNDLED, bundled)
+        (bundled / "irregular.txt").unlink()
+        monkeypatch.setattr(delib.indicators, "_BUNDLED", bundled)
+        with pytest.raises(ConfigError, match="missing lexicon file: irregular.txt"):
+            load_lexicons()
 
     def test_missing_directory(self):
         with pytest.raises(ConfigError):

@@ -1,9 +1,11 @@
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import delib.templates
 from delib.errors import DataError
 from delib.gateway import ResponseCache, mock_backend
 from delib.prompting import VARIANTS, Variant
@@ -47,6 +49,24 @@ class TestRunId:
                                       ["K1"])
         assert base == compute_run_id(Variant.COT, "b" * 12, "c" * 12, 0, 5, "1", "LENIENT",
                                       None)
+
+    def test_run_id_names_the_override_template_content(self, tmp_path):
+        corpus = corpus_for_runs()
+        bundled = delib.templates._BUNDLED
+        base = run_variant(corpus, Variant.COT, backend(), tmp_path / "runs").run_id
+        copy = tmp_path / "copy"
+        shutil.copytree(bundled, copy)
+        assert run_variant(corpus, Variant.COT, backend(), tmp_path / "runs",
+                           templates=TemplateSet(copy)).run_id == base
+        ids = {base}
+        for name in ("cot.user", "definitions"):
+            edited = tmp_path / name
+            edited.mkdir()
+            text = (bundled / f"{name}.txt").read_text(encoding="utf-8")
+            (edited / f"{name}.txt").write_text(text + "Be brief.\n", encoding="utf-8")
+            ids.add(run_variant(corpus, Variant.COT, backend(), tmp_path / "runs",
+                                templates=TemplateSet(edited)).run_id)
+        assert len(ids) == 3
 
 
 class TestRunVariant:
