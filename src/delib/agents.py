@@ -120,14 +120,6 @@ class DisagreementReport:
     def false_positives_caught(self) -> int:
         return self.flips.get((1, 0, 0), 0)
 
-    @property
-    def wrongly_promoted(self) -> int:
-        return self.flips.get((0, 1, 0), 0)
-
-    @property
-    def correctly_promoted(self) -> int:
-        return self.flips.get((0, 1, 1), 0)
-
     def to_dict(self) -> dict:
         return {
             "n_disagreements": self.n_disagreements,

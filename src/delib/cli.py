@@ -30,10 +30,6 @@ def cli(ctx, config_path):
     ctx.obj = load_settings(config_path)
 
 
-def _load_corpus(path: str, fmt: str = "jsonl") -> corpus_mod.Corpus:
-    return corpus_mod.parse_dataset(path, format=fmt)
-
-
 @cli.command()
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--format", "fmt", default="jsonl",
@@ -43,7 +39,7 @@ def _load_corpus(path: str, fmt: str = "jsonl") -> corpus_mod.Corpus:
               help="Comma-separated batch codes to keep (e.g. K1,K2,K3,R4).")
 def ingest(input_path, fmt, out_path, batches):
     """Normalize a source dataset into canonical JSONL."""
-    corpus = _load_corpus(input_path, fmt)
+    corpus = corpus_mod.parse_dataset(input_path, format=fmt)
     if batches:
         corpus = corpus_mod.filter_batches(corpus, batches.split(","))
     corpus_mod.save_jsonl(corpus, out_path)
@@ -55,7 +51,7 @@ def ingest(input_path, fmt, out_path, batches):
 @click.option("--csv", "csv_path", default=None, type=click.Path())
 def stats(corpus_path, csv_path):
     """Per-batch sentence and AD counts."""
-    corpus = _load_corpus(corpus_path)
+    corpus = corpus_mod.parse_dataset(corpus_path)
     rows = corpus_mod.corpus_stats(corpus)
     click.echo(corpus_mod.stats_table(rows))
     if csv_path:
@@ -67,7 +63,8 @@ def stats(corpus_path, csv_path):
               type=click.Choice([v.value for v in Variant], case_sensitive=False))
 @click.option("--backend", "backend_name", required=True)
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--batches", default=None)
+@click.option("--batches", default=None,
+              help="Comma-separated batch codes to run; examples come from the others.")
 @click.option("--k", default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--strict-schema", is_flag=True, default=False)
@@ -77,15 +74,13 @@ def stats(corpus_path, csv_path):
 def run(settings, variant_name, backend_name, corpus_path, batches, k, seed,
         strict_schema, zero_shot_run):
     """Execute one prompting variant over the corpus."""
-    corpus = _load_corpus(corpus_path)
-    if batches:
-        corpus = corpus_mod.filter_batches(corpus, batches.split(","))
+    corpus = corpus_mod.parse_dataset(corpus_path)
     backend = build_backend(settings, backend_name)
     templates = TemplateSet(settings.resolve(settings.template_dir))
     manifest = runner.run_variant(
         corpus, Variant(variant_name.upper()), backend,
         settings.resolve(settings.runs_dir),
-        k=k, seed=seed,
+        batches=batches.split(",") if batches else None, k=k, seed=seed,
         repair_policy="STRICT" if strict_schema else "LENIENT",
         templates=templates,
         zero_shot_run_dir=_find_run_dir(settings, zero_shot_run) if zero_shot_run else None)
@@ -112,7 +107,7 @@ def _find_run_dir(settings, run_id: str) -> Path:
 @click.pass_obj
 def eval_cmd(settings, run_id, corpus_path, per_batch, failures_as_negative):
     """Metrics for one run (combined, optionally per batch)."""
-    corpus = _load_corpus(corpus_path)
+    corpus = corpus_mod.parse_dataset(corpus_path)
     run_dir = _find_run_dir(settings, run_id)
     manifest = runner.load_manifest(run_dir)
     corpus = corpus_mod.filter_batches(corpus, manifest.batches)
@@ -141,7 +136,7 @@ def eval_cmd(settings, run_id, corpus_path, per_batch, failures_as_negative):
 @click.pass_obj
 def compare(settings, run_ids, corpus_path, out_dir):
     """Comparison grid over runs plus per-batch precision/recall series."""
-    corpus = _load_corpus(corpus_path)
+    corpus = corpus_mod.parse_dataset(corpus_path)
     combined: dict[str, evaluation.MetricsReport] = {}
     groups: dict[str, str] = {}
     per_batch: dict[str, list[evaluation.MetricsReport]] = {}
@@ -178,7 +173,7 @@ def compare(settings, run_ids, corpus_path, out_dir):
 @click.pass_obj
 def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
     """Easy sets and the linguistic indicator tables."""
-    corpus = _load_corpus(corpus_path)
+    corpus = corpus_mod.parse_dataset(corpus_path)
     run_predictions = []
     for run_id in run_ids.split(","):
         run_predictions.append(
@@ -204,7 +199,7 @@ def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
             continue
         occurrence[name] = indicators.occurrence_table(ids, profiles)
         cooccurrence[name] = indicators.cooccurrence_stats(ids, profiles)
-        verbs[name] = indicators.verb_frequency(ids, corpus, lexicons, top_verbs)
+        verbs[name] = indicators.verb_frequency(ids, profiles, top_verbs)
 
     for name, table in occurrence.items():
         cells = "  ".join(f"{c}={100 * table[c]:.1f}%" for c in indicators.CATEGORY_ORDER)
@@ -245,7 +240,7 @@ def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
 @click.pass_obj
 def disagreements(settings, run_id, corpus_path):
     """Flip analysis over predictor/critic disagreements."""
-    corpus = _load_corpus(corpus_path)
+    corpus = corpus_mod.parse_dataset(corpus_path)
     run_dir = _find_run_dir(settings, run_id)
     records = runner.load_records(run_dir)
     traces = []

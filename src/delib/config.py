@@ -45,59 +45,93 @@ def load_settings(path: str | Path | None) -> Settings:
         raise ConfigError("config root must be a mapping")
     settings = Settings(base_dir=path.parent.resolve())
     settings.backends = doc.get("backends", {}) or {}
+    if not isinstance(settings.backends, dict):
+        raise ConfigError("config key backends must be a mapping of backend names")
     for key in ("template_dir", "lexicon_dir", "cache_dir", "runs_dir", "reports_dir"):
         if key in doc and doc[key] is not None:
+            if not isinstance(doc[key], str):
+                raise ConfigError(f"config key {key} must be a path, got {doc[key]!r}")
             setattr(settings, key, doc[key])
     return settings
+
+
+#: The keys of a backend definition that set Limits (under `limits:`) and
+#: DecodingParams, each with the conversion its value goes through.
+_LIMIT_KEYS = {"max_in_flight": int, "retry_budget": int, "requests_per_minute": None}
+_DECODING_KEYS = {"temperature": float, "max_output_tokens": int, "response_format_hint": None}
+
+
+def _values(spec: dict, converters: dict, where: str = "") -> dict:
+    """The keys of spec that converters names (and only those), converted."""
+    values = {}
+    for key, convert in converters.items():
+        if key in spec:
+            try:
+                values[key] = spec[key] if convert is None else convert(spec[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}{key} must be a number, got {spec[key]!r}") from None
+    return values
+
+
+def _response(value, key: str) -> str:
+    """A mock response: a string, or a mapping written as its JSON."""
+    if isinstance(value, dict):
+        return json.dumps(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string or a mapping, got {value!r}")
+    return value
 
 
 def build_backend(settings: Settings, name: str) -> ChatBackend:
     """Instantiate a backend named in the config.
 
     type: http (default) builds an OpenAI-compatible HTTP backend;
-    type: mock builds a scripted backend usable fully offline.
+    type: mock builds a scripted backend usable fully offline. A value of
+    the wrong type or range raises ConfigError naming the backend and key.
     """
     spec = settings.backends.get(name)
     if spec is None:
         raise ConfigError(f"backend {name!r} is not defined in the config")
-    if not isinstance(spec, dict):
-        raise ConfigError(f"backend {name!r}: definition must be a mapping")
+    try:
+        return _backend(name, spec, ResponseCache(settings.resolve(settings.cache_dir)))
+    except ConfigError as exc:
+        raise ConfigError(f"backend {name!r}: {exc}") from exc
 
-    cache_dir = settings.resolve(settings.cache_dir)
-    cache = ResponseCache(cache_dir)
-    limits_spec = spec.get("limits", {}) or {}
-    limits = Limits(
-        max_in_flight=int(limits_spec.get("max_in_flight", 4)),
-        retry_budget=int(limits_spec.get("retry_budget", 3)),
-        requests_per_minute=limits_spec.get("requests_per_minute"),
-    )
-    decoding = DecodingParams(
-        temperature=float(spec.get("temperature", 0.0)),
-        max_output_tokens=int(spec.get("max_output_tokens", 1024)),
-        response_format_hint=spec.get("response_format_hint"),
-    )
+
+def _backend(name: str, spec, cache: ResponseCache) -> ChatBackend:
+    if not isinstance(spec, dict):
+        raise ConfigError("definition must be a mapping")
+    limits = spec.get("limits") or {}
+    if not isinstance(limits, dict):
+        raise ConfigError("limits must be a mapping")
+    for key in ("endpoint", "model", "auth_env"):
+        if spec.get(key) is not None and not isinstance(spec[key], str):
+            raise ConfigError(f"{key} must be a string, got {spec[key]!r}")
+    limits = Limits(**_values(limits, _LIMIT_KEYS, "limits."))
+    decoding = DecodingParams(**_values(spec, _DECODING_KEYS))
 
     if spec.get("type", "http") == "mock":
-        rules = []
-        for rule in spec.get("rules", []) or []:
-            response = rule.get("response")
-            if isinstance(response, dict):
-                response = json.dumps(response)
-            rules.append(MockRule(pattern=rule["pattern"], response=response))
+        rules = spec.get("rules") or []
+        if not isinstance(rules, list):
+            raise ConfigError("rules must be a list")
+        mock_rules = []
+        for i, rule in enumerate(rules):
+            if not isinstance(rule, dict) or not isinstance(rule.get("pattern"), str):
+                raise ConfigError(f"rules[{i}] needs a string pattern")
+            mock_rules.append(MockRule(pattern=rule["pattern"], response=_response(
+                rule.get("response"), f"rules[{i}].response")))
         default = spec.get("default_response")
-        if isinstance(default, dict):
-            default = json.dumps(default)
-        config = BackendConfig(name=name, model=spec.get("model", "mock-model"),
+        if default is not None:
+            default = _response(default, "default_response")
+        model = spec.get("model")
+        config = BackendConfig(name=name, model="mock-model" if model is None else model,
                                decoding=decoding, limits=limits)
         return ChatBackend(config, cache=cache,
-                           transport=ScriptedTransport(rules, default),
+                           transport=ScriptedTransport(mock_rules, default),
                            sleep=lambda _t: None, clock=lambda: 0.0)
 
-    endpoint = spec.get("endpoint")
-    model = spec.get("model")
-    if not endpoint or not model:
-        raise ConfigError(f"backend {name!r}: endpoint and model are required")
-    config = BackendConfig(name=name, endpoint=endpoint, model=model,
-                           auth_env=spec.get("auth_env"),
-                           decoding=decoding, limits=limits)
+    if not spec.get("endpoint") or not spec.get("model"):
+        raise ConfigError("endpoint and model are required")
+    config = BackendConfig(name=name, endpoint=spec["endpoint"], model=spec["model"],
+                           auth_env=spec.get("auth_env"), decoding=decoding, limits=limits)
     return ChatBackend(config, cache=cache)

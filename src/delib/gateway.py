@@ -16,11 +16,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 from .errors import ConfigError, DataError, SchemaError, TransportError
 from .parsing import ParsedPrediction, parse_prediction
-from .prompting import PromptBundle
+
+if TYPE_CHECKING:
+    from .prompting import PromptBundle
 
 Message = dict  # {"role": "system"|"user"|"assistant", "content": str}
 
@@ -43,6 +45,9 @@ class Limits:
             raise ConfigError("max_in_flight must be >= 1")
         if self.retry_budget < 0:
             raise ConfigError("retry_budget must be >= 0")
+        rate = self.requests_per_minute
+        if rate is not None and (type(rate) not in (int, float) or rate < 1):
+            raise ConfigError(f"requests_per_minute must be a number >= 1, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -252,12 +257,15 @@ class _RateLimiter:
             self.sleep(max(wait, 0.01))
 
 
+#: Seconds an HTTP request may take before it fails as transient.
+HTTP_TIMEOUT_S = 120.0
+
+
 class HttpTransport:
     """POSTs OpenAI-compatible chat-completions requests."""
 
-    def __init__(self, config: BackendConfig, timeout: float = 120.0):
+    def __init__(self, config: BackendConfig):
         self.config = config
-        self.timeout = timeout
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -274,6 +282,7 @@ class HttpTransport:
     def __call__(self, messages: Sequence[Message]) -> tuple[int, dict]:
         import requests
 
+        # first, so a missing credential fails before the call is counted or sent
         headers = {"Content-Type": "application/json", **self._auth_header()}
         body = {
             "model": self.config.model,
@@ -287,7 +296,7 @@ class HttpTransport:
             self.calls += 1
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
+            resp = requests.post(url, json=body, headers=headers, timeout=HTTP_TIMEOUT_S)
         except requests.RequestException as exc:
             raise _Transient(f"request failed: {exc}") from exc
         if resp.status_code == 200:
@@ -444,8 +453,6 @@ class ChatBackend:
     def _attempt(self, messages: Sequence[Message], key: str, attempt: int,
                  start: float) -> CompletionResult:
         """One admitted transport call for a cache miss; its response is cached."""
-        if isinstance(self.transport, HttpTransport):
-            self.transport._auth_header()  # fail on missing credentials before dispatch
         if self._rate is not None:
             self._rate.admit()
         self._admission.get()

@@ -214,6 +214,7 @@ class IndicatorProfile:
     sentence_id: str
     hits: dict[str, list[str]] = field(default_factory=dict)
     past_tense: bool = False
+    lemmas: frozenset = frozenset()  # verb lemmas; a modal is its own lemma
 
     @property
     def unique_count(self) -> int:
@@ -236,26 +237,27 @@ def extract_indicators(sentence: Sentence, lexicons: Lexicons | None = None) -> 
     """
     lexicons = lexicons or default_lexicons()
     hits: dict[str, list[str]] = {c: [] for c in CATEGORY_ORDER}
+    lemmas = set()
     tokens = tokenize(sentence.text)
     for token in tokens:
         category = lexicons.categories.get(token)
         if category is not None:
             hits[category].append(token)
+        lemma = token if token in lexicons.modal else lexicons.inflections.get(token)
+        if lemma is not None:
+            lemmas.add(lemma)
     return IndicatorProfile(sentence_id=sentence.id, hits=hits,
-                            past_tense=_past_tense(tokens, lexicons))
+                            past_tense=_past_tense(tokens, lexicons),
+                            lemmas=frozenset(lemmas))
 
 
-def detect_past_tense(sentence: Sentence, lexicons: Lexicons | None = None) -> bool:
+def _past_tense(tokens: Sequence[str], lexicons: Lexicons) -> bool:
     """True when the first finite verb encountered is a past-tense form.
 
     Heuristic: scan tokens left to right; a modal decides present, a known
     verb form decides by its tense tag, and an unknown -ed word that
     matches no lexicon decides past. No finite verb means False.
     """
-    return _past_tense(tokenize(sentence.text), lexicons or default_lexicons())
-
-
-def _past_tense(tokens: Sequence[str], lexicons: Lexicons) -> bool:
     for token in tokens:
         if token in lexicons.modal:
             return False
@@ -293,16 +295,23 @@ def build_easy_sets(runs: Sequence[Mapping[str, int | None]], corpus: Corpus,
     return EasySets(easy_1=easy_1, easy_0=easy_0, n_runs=len(runs))
 
 
+def _profiled(ids: Iterable[str], profiles: Mapping[str, IndicatorProfile],
+              table: str) -> list[str]:
+    """ids as a list; DataError when it is empty or an id has no profile."""
+    ids = list(ids)
+    if not ids:
+        raise DataError(f"{table}: empty sentence set")
+    missing = [i for i in ids if i not in profiles]
+    if missing:
+        raise DataError(f"{table}: no profiles for: {missing[:5]}")
+    return ids
+
+
 def occurrence_table(ids: Iterable[str],
                      profiles: Mapping[str, IndicatorProfile]) -> dict:
     """Per-category share of sentences with at least one hit, plus the
     past-tense share and the denominator."""
-    ids = list(ids)
-    if not ids:
-        raise DataError("occurrence_table: empty sentence set")
-    missing = [i for i in ids if i not in profiles]
-    if missing:
-        raise DataError(f"no profiles for: {missing[:5]}")
+    ids = _profiled(ids, profiles, "occurrence_table")
     n = len(ids)
     table = {"n": n}
     for category in CATEGORY_ORDER:
@@ -324,9 +333,7 @@ def cooccurrence_stats(ids: Iterable[str],
     """Medians of unique/total indicator counts, >=2 and zero shares, and
     the most frequent unordered category pairs (past tense excluded from
     all counting)."""
-    ids = list(ids)
-    if not ids:
-        raise DataError("cooccurrence_stats: empty sentence set")
+    ids = _profiled(ids, profiles, "cooccurrence_stats")
     uniques = [profiles[i].unique_count for i in ids]
     totals = [profiles[i].total_count for i in ids]
     pair_counts: dict[tuple[str, str], int] = {}
@@ -348,30 +355,14 @@ def cooccurrence_stats(ids: Iterable[str],
     }
 
 
-def verb_frequency(ids: Iterable[str], corpus: Corpus,
-                   lexicons: Lexicons | None = None,
+def verb_frequency(ids: Iterable[str], profiles: Mapping[str, IndicatorProfile],
                    top_k: int = 10) -> list[tuple[str, float]]:
     """Share of sentences containing each verb lemma (counted once per
     sentence), descending, top-k. Modals count as their own lemma."""
-    lexicons = lexicons or default_lexicons()
-    ids = set(ids)
-    if not ids:
-        raise DataError("verb_frequency: empty sentence set")
-    by_id = corpus.by_id()
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise DataError(f"unknown sentence ids: {sorted(missing)[:5]}")
+    ids = _profiled(set(ids), profiles, "verb_frequency")
     counts: dict[str, int] = {}
-    for sid in ids:
-        lemmas = set()
-        for token in tokenize(by_id[sid].text):
-            if token in lexicons.modal:
-                lemmas.add(token)
-            else:
-                lemma = lexicons.inflections.get(token)
-                if lemma is not None:
-                    lemmas.add(lemma)
-        for lemma in lemmas:
+    for i in ids:
+        for lemma in profiles[i].lemmas:
             counts[lemma] = counts.get(lemma, 0) + 1
     n = len(ids)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]

@@ -41,22 +41,6 @@ class ParsedPrediction:
     raw: str = ""
     repairs: list[str] = field(default_factory=list)
 
-    def serialize(self, schema: str = "SIMPLE") -> str:
-        obj: dict = {}
-        if schema == "COT":
-            obj["step1"] = self.step1
-            obj["step2"] = self.step2
-        if schema == "CRITIC":
-            obj["assessment"] = self.extra.get("assessment")
-            obj["issues"] = self.extra.get("issues")
-            obj["suggestion"] = self.label
-        elif schema == "JUDGE":
-            obj["rationale"] = self.extra.get("rationale")
-            obj["deliberative"] = self.label
-        else:
-            obj["deliberative"] = self.label
-        return json.dumps(obj, ensure_ascii=False)
-
 
 def _first_balanced_object(text: str) -> str | None:
     start = text.find("{")

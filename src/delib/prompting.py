@@ -9,6 +9,7 @@ from typing import Literal, Mapping, Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import DataError
+from .gateway import classify_steps, drive
 from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 
@@ -248,8 +249,6 @@ def example_reasoning_steps(example: Example, templates: TemplateSet = DEFAULT_T
                             repair_policy: str = "LENIENT"):
     """Step generator for generate_example_reasoning(); returns the reasoned
     example, or None when it is excluded."""
-    from .gateway import classify_steps  # local import to avoid a cycle
-
     for attempt in (0, 1):
         bundle = render_reasoning_prompt(example, templates, attempt=attempt)
         outcome = yield from classify_steps(bundle, repair_policy)
@@ -269,8 +268,6 @@ def generate_example_reasoning(example: Example, backend,
     label contradicts gold is retried once; a second contradiction flags
     the example as excluded (returns None).
     """
-    from .gateway import drive
-
     return drive(example_reasoning_steps(example, templates, repair_policy), backend.complete)
 
 
@@ -309,7 +306,5 @@ def reasoned_examples(
     Candidates whose reasoning contradicts gold twice are skipped, keeping
     selection deterministic for a fixed (corpus, batch, k, seed, backend).
     """
-    from .gateway import drive
-
     return drive(reasoned_examples_steps(corpus, target_batch, k, seed, pool, templates),
                  backend.complete)

@@ -212,14 +212,14 @@ def run_variant(
     repair_policy: str = "LENIENT",
     templates: TemplateSet = DEFAULT_TEMPLATES,
     zero_shot_run_dir: str | Path | None = None,
-    stop_after: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> RunManifest:
-    """Execute one variant over the corpus scope, resumably.
+    """Execute one variant over the sentences of `batches` (None: the whole
+    corpus), resumably; examples come from the corpus's other batches.
 
     Error-based variants require zero_shot_run_dir pointing at a completed
-    zero-shot run for the same backend. stop_after limits the number of
-    newly dispatched sentences (used to exercise interruption).
+    zero-shot run for the same backend. An exception that stops the run,
+    KeyboardInterrupt too, marks the manifest `interrupted` and propagates.
 
     The example set of every batch to dispatch is built first, so a
     failure to build one stops the run before it writes any record. Then
@@ -273,14 +273,6 @@ def run_variant(
     manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
 
     pending = [s for s in scope if s.id not in existing]
-    todo = pending if stop_after is None else pending[:stop_after]
-    # the batches' example sets, built with their backend calls overlapped
-    todo_batches = list(dict.fromkeys(s.batch for s in todo))
-    example_sets: list[ExampleSet | None] = []
-    run_window(backend, (_batch_examples_steps(variant, corpus, batch, k, seed, templates,
-                                               zero_shot_predictions)
-                         for batch in todo_batches), example_sets.append)
-    examples_by_batch = dict(zip(todo_batches, example_sets))
 
     def commit(record: dict) -> None:
         record["run_id"] = run_id
@@ -293,16 +285,25 @@ def run_variant(
         if progress:
             progress(manifest.dispatched, len(pending))
 
-    with records_path.open("a", encoding="utf-8") as records_fh:
-        run_window(backend, (_dispatch_steps(s, variant, examples_by_batch[s.batch], templates,
-                                             repair_policy) for s in todo), commit)
-    if len(todo) < len(pending):
-        manifest.status = "interrupted"
-    else:
+    try:
+        # the batches' example sets, built with their backend calls overlapped
+        pending_batches = list(dict.fromkeys(s.batch for s in pending))
+        example_sets: list[ExampleSet | None] = []
+        run_window(backend, (_batch_examples_steps(variant, corpus, batch, k, seed, templates,
+                                                   zero_shot_predictions)
+                             for batch in pending_batches), example_sets.append)
+        examples_by_batch = dict(zip(pending_batches, example_sets))
+        with records_path.open("a", encoding="utf-8") as records_fh:
+            run_window(backend, (_dispatch_steps(s, variant, examples_by_batch[s.batch],
+                                                 templates, repair_policy) for s in pending),
+                       commit)
         manifest.status = "finished"
         manifest.finished_at = _now()
-
-    manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
+    except BaseException:
+        manifest.status = "interrupted"
+        raise
+    finally:
+        manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
     return manifest
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from delib.corpus import Corpus, Sentence, sentence_id
 from delib.gateway import MockRule
+from delib.runner import load_manifest
 
 # Batch shapes of the annotated White House corpus: (n_sentences, n_ad).
 # Note: the published table's batch rows sum to 4,504 sentences while its
@@ -100,3 +101,26 @@ def universal_mock_rules(simple_label: int = 1, cot_label: int = 1,
             {"step1": "pre", "step2": "del", "deliberative": cot_label})),
         MockRule(pattern=r".", response=json.dumps({"deliberative": simple_label})),
     ]
+
+
+class StopRun(Exception):
+    """Raised by a raise_after() callback to stop a run."""
+
+
+def raise_after(n, exc=StopRun):
+    """A run_variant progress callback that raises exc once n records are
+    written, as an interrupt or a crash would stop the run."""
+    def progress(done, _total):
+        if done == n:
+            raise exc
+    return progress
+
+
+def stopped_manifest(runs_dir):
+    """The manifest of the only run in runs_dir, after checking that its
+    n_records is the number of lines in its records.jsonl."""
+    (run_dir,) = runs_dir.iterdir()
+    manifest = load_manifest(run_dir)
+    lines = (run_dir / "records.jsonl").read_bytes().splitlines()
+    assert manifest.n_records == len(lines)
+    return manifest

@@ -22,8 +22,9 @@ from delib.indicators import build_easy_sets, extract_indicators
 from delib.prompting import Variant
 from delib.runner import run_grid, run_variant
 
-from conftest import (FULL_SHAPE, KEPT_BATCHES, TOTAL_KEPT, TOTAL_KEPT_AD,
-                      build_corpus, make_sentence, universal_mock_rules)
+from conftest import (FULL_SHAPE, KEPT_BATCHES, TOTAL_KEPT, TOTAL_KEPT_AD, StopRun,
+                      build_corpus, make_sentence, raise_after, stopped_manifest,
+                      universal_mock_rules)
 from test_evaluation import REPORTED_ROWS, brute_force_matrix
 from test_indicators import HCFA, NEGOTIATIONS, OMB, ZONES
 
@@ -141,8 +142,10 @@ class TestAcceptance:
         dir_a, dir_b, dir_c = (tmp_path / n for n in ("resumed", "straight", "warm"))
 
         backend_a = mock_backend(universal_mock_rules())
-        partial = run_variant(kept_corpus, Variant.ZERO_SHOT, backend_a,
-                              dir_a, stop_after=100)
+        with pytest.raises(StopRun):
+            run_variant(kept_corpus, Variant.ZERO_SHOT, backend_a, dir_a,
+                        progress=raise_after(100))
+        partial = stopped_manifest(dir_a)
         assert partial.status == "interrupted"
         manifests_a = run_grid(kept_corpus, backend_a, dir_a)
 

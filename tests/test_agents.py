@@ -253,8 +253,6 @@ class TestDisagreementAnalysis:
         assert report.flips == {(1, 0, 1): 1, (1, 0, 0): 1, (0, 1, 0): 1}
         assert report.true_positives_flagged_false == 1
         assert report.false_positives_caught == 1
-        assert report.wrongly_promoted == 1
-        assert report.correctly_promoted == 0
         assert report.corrected_to_nondeliberative == 2
         assert report.corrected_to_deliberative == 1
 

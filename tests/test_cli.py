@@ -4,12 +4,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import delib.indicators
 from delib.cli import main
 from delib.config import build_backend, load_settings
+from delib.corpus import parse_dataset
 from delib.errors import ConfigError
+from delib.prompting import Variant
+from delib.runner import load_records, run_variant
 
 from conftest import build_corpus
 
@@ -226,6 +231,36 @@ class TestRunEvalCompare:
                      "--corpus", str(data)]) == 4
         assert "not a run manifest" in capsys.readouterr().err
 
+    def test_batches_scope_the_run_and_examples_come_from_the_rest(self, workspace, capsys,
+                                                                    monkeypatch):
+        tmp_path, config, data = workspace
+        prompts = []
+
+        def recording_backend(settings, name):
+            backend = build_backend(settings, name)
+            transport = backend.transport
+            backend.transport = lambda messages: prompts.append(messages) or transport(messages)
+            return backend
+
+        monkeypatch.setattr("delib.cli.build_backend", recording_backend)
+        assert self._run(config, data, variant="FEW_SHOT",
+                         extra=("--batches", "K1", "--k", 2)) == 0, capsys.readouterr().err
+        corpus = parse_dataset(data)
+        k1 = [s for s in corpus.sentences if s.batch == "K1"]
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert sorted(load_records(run_dir)) == sorted(s.id for s in k1)
+        assert len(prompts) == len(k1)
+        for messages in prompts:
+            user = messages[-1]["content"]
+            # the one K1 sentence in a prompt is the one it asks about
+            assert sum(s.text in user for s in k1) == 1
+            assert sum(s.text in user for s in corpus.sentences if s.batch == "K2") == 2
+
+        api = run_variant(corpus, Variant.FEW_SHOT, build_backend(load_settings(config), "echo"),
+                          tmp_path / "api", batches=["K1"], k=2)
+        assert run_dir.name == api.run_id
+        assert api.batches == ["K1"]
+
     def test_run_is_resumable_via_cache(self, workspace, capsys):
         tmp_path, config, data = workspace
         assert self._run(config, data) == 0
@@ -253,6 +288,23 @@ class TestAnalyzeAndDisagreements:
         assert len(easy["easy_1"]) == 3 and easy["easy_0"] == []
         assert (out_dir / "occurrence.csv").read_text().startswith("set,n,modal")
         assert (out_dir / "example_sentences.csv").is_file()
+
+    def test_analyze_tokenizes_each_easy_set_sentence_once(self, workspace, capsys,
+                                                           monkeypatch):
+        tmp_path, config, data = workspace
+        for backend in ("echo", "offline"):
+            assert invoke(config, "run", "--variant", "ZERO_SHOT",
+                          "--backend", backend, "--corpus", data) == 0
+        run_ids = [p.name for p in (tmp_path / "runs").iterdir()]
+        tokenized = []
+        tokenize = delib.indicators.tokenize
+        monkeypatch.setattr(delib.indicators, "tokenize",
+                            lambda text: tokenized.append(text) or tokenize(text))
+        assert invoke(config, "analyze", "--runs", ",".join(run_ids), "--corpus", data,
+                      "--out-dir", tmp_path / "analysis") == 0
+        easy = json.loads((tmp_path / "analysis" / "easy_sets.json").read_text())
+        assert len(easy["easy_1"]) == 3
+        assert len(tokenized) == len(set(tokenized)) == 3
 
     def test_analyze_needs_two_runs(self, workspace, capsys):
         tmp_path, config, data = workspace
@@ -463,6 +515,106 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
                  run_multi_agent(fresh, corpus)]
         capsys.readouterr()
         assert all(code in range(5) for code in codes), codes
+
+
+def valid_config():
+    """A config whose echo backend sets every key build_backend reads for a mock."""
+    return {"backends": {"echo": {
+                "type": "mock", "model": "mock-model", "temperature": 0.0,
+                "max_output_tokens": 64, "response_format_hint": "json_object",
+                "limits": {"max_in_flight": 2, "retry_budget": 1, "requests_per_minute": 6000},
+                "rules": [{"pattern": "should|think|could", "response": {"deliberative": 1}},
+                          {"pattern": ".", "response": "{\"deliberative\": 0}"}],
+                "default_response": {"deliberative": 0}}},
+            "cache_dir": "cache", "runs_dir": "runs", "reports_dir": "reports"}
+
+
+def run_with_config(root, doc):
+    """`delib run` of ZERO_SHOT on the echo backend under the config doc."""
+    _, config, data = make_workspace(root)
+    config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return invoke(config, "run", "--variant", "ZERO_SHOT", "--backend", "echo",
+                  "--corpus", data)
+
+
+def _echo(**changes):
+    def change(doc):
+        doc["backends"]["echo"].update(changes)
+    return change
+
+
+def _limit(**changes):
+    def change(doc):
+        doc["backends"]["echo"]["limits"].update(changes)
+    return change
+
+
+def _top(**changes):
+    return lambda doc: doc.update(changes)
+
+
+@pytest.mark.parametrize("change,names", [
+    (_limit(requests_per_minute="60"), ["'echo'", "requests_per_minute"]),
+    (_limit(requests_per_minute=0), ["'echo'", "requests_per_minute"]),
+    (_limit(requests_per_minute=-1), ["'echo'", "requests_per_minute"]),
+    (_limit(max_in_flight="many"), ["'echo'", "max_in_flight"]),
+    (_echo(temperature="hot"), ["'echo'", "temperature"]),
+    (_top(backends=["echo"]), ["backends"]),
+    (_echo(limits=[2, 1]), ["'echo'", "limits"]),
+    (_echo(rules=[{"response": "x"}]), ["'echo'", "rules[0]", "pattern"]),
+    (_top(runs_dir=5), ["runs_dir"]),
+], ids=["rpm '60'", "rpm 0", "rpm -1", "max_in_flight many", "temperature hot",
+        "backends a list", "limits a list", "rule without pattern", "runs_dir 5"])
+def test_a_malformed_config_value_exits_2(tmp_path, capsys, change, names):
+    doc = valid_config()
+    change(doc)
+    assert run_with_config(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(name in err for name in names), err
+
+
+def test_config_values_that_parse_keep_working(tmp_path, capsys):
+    doc = valid_config()
+    _limit(max_in_flight="3", retry_budget=2.0, requests_per_minute=600.5)(doc)
+    _echo(temperature="0", max_output_tokens="64")(doc)
+    assert run_with_config(tmp_path, doc) == 0
+    backend = build_backend(load_settings(tmp_path / "config.yaml"), "echo")
+    assert (backend.config.limits.max_in_flight, backend.config.limits.retry_budget) == (3, 2)
+    assert backend.config.decoding.temperature == 0.0
+
+
+def _config_paths(node, path=()):
+    """The path of every value in a parsed config, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _config_paths(value, path + (key,))
+
+
+# No number among them: a number in requests_per_minute is a valid rate, and
+# the mock waits it out in real time.
+_CONFIG_VALUES = [None, True, "", "many", [], ["x"], {}, {"a": 1}]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_config_value_of_another_type_exits_with_a_code(data):
+    """Whatever value of the valid config changes its type, `run` returns
+    a documented exit code and never raises."""
+    doc = valid_config()
+    path = data.draw(st.sampled_from(list(_config_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else doc
+    new = data.draw(st.sampled_from([v for v in _CONFIG_VALUES if type(v) is not type(old)]))
+    if path:
+        parent[path[-1]] = new
+    else:
+        doc = new
+    with tempfile.TemporaryDirectory() as scratch:
+        assert run_with_config(Path(scratch), doc) in range(5)
 
 
 class TestConfig:

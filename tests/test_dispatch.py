@@ -24,7 +24,7 @@ from delib.gateway import (RECENT_CALLS, BackendConfig, ChatBackend, HttpTranspo
 from delib.prompting import Variant
 from delib.runner import run_grid, run_variant
 
-from conftest import universal_mock_rules
+from conftest import StopRun, raise_after, stopped_manifest, universal_mock_rules
 
 DELAY_S = 0.003
 FAULTY = "The contested memo 2 was sent in K2."
@@ -150,8 +150,10 @@ class TestConcurrentGrid:
     def test_interrupt_then_resume_byte_identical(self, serial_grid, tmp_path):
         expected, _ = serial_grid
         corpus = dispatch_corpus()
-        partial = run_variant(corpus, Variant.MULTI_AGENT, slow_backend(4), tmp_path,
-                              k=2, stop_after=7)
+        with pytest.raises(StopRun):
+            run_variant(corpus, Variant.MULTI_AGENT, slow_backend(4), tmp_path, k=2,
+                        progress=raise_after(7))
+        partial = stopped_manifest(tmp_path)
         assert partial.status == "interrupted"
         assert partial.n_records == 7
         resumed = run_variant(corpus, Variant.MULTI_AGENT, slow_backend(4), tmp_path, k=2)
@@ -180,6 +182,26 @@ class TestFailureMidWindow:
         texts = [s.text for s in dispatch_corpus().sentences]
         later = set(texts[texts.index(FAULTY) + 1:]) - set(texts[:texts.index(FAULTY)])
         assert any(t in p for p in backend.transport.prompts for t in later)
+
+    def test_run_is_marked_interrupted_and_resumes(self, serial_grid, tmp_path):
+        """Retries exhausted in the middle of a slow-backend window: the
+        manifest says interrupted with the counts of the records written,
+        and a resume finishes the run byte-identical to serial dispatch.
+        (A multi-agent record has no `cached` field, which would differ for
+        calls the window finished after the failure.)"""
+        corpus = dispatch_corpus()
+        stopped = slow_backend(4, faults=100, retry_budget=1)
+        with pytest.raises(TransportError, match="retries exhausted"):
+            run_variant(corpus, Variant.MULTI_AGENT, stopped, tmp_path, k=2)
+        assert stopped.transport.max_in_flight > 1  # stopped inside a window
+        partial = stopped_manifest(tmp_path)
+        assert partial.status == "interrupted"
+        assert partial.n_records == [s.text for s in corpus.sentences].index(FAULTY)
+        resumed = run_variant(corpus, Variant.MULTI_AGENT, slow_backend(4), tmp_path, k=2)
+        assert resumed.status == "finished"
+        assert resumed.dispatched == len(corpus) - partial.n_records
+        assert ((tmp_path / resumed.run_id / "records.jsonl").read_bytes()
+                == serial_grid[0][Variant.MULTI_AGENT][0])
 
     def test_cli_exits_3(self, serial_grid, tmp_path, monkeypatch):
         config = tmp_path / "config.yaml"

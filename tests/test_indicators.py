@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from delib.errors import ConfigError, DataError
 from delib.indicators import (CATEGORY_ORDER, build_easy_sets,
                               cooccurrence_csv, cooccurrence_stats,
-                              default_lexicons, detect_past_tense,
+                              default_lexicons,
                               extract_indicators, load_lexicons,
                               occurrence_csv, occurrence_table, pairs_csv,
                               regular_forms, tokenize, verb_frequency, verbs_csv)
@@ -26,6 +26,10 @@ NEGOTIATIONS = ("I don't know where things stand in the negotiations over "
 
 def profile(text):
     return extract_indicators(make_sentence(text))
+
+
+def profiles_of(corpus):
+    return {s.id: extract_indicators(s) for s in corpus.sentences}
 
 
 class TestTokenize:
@@ -242,24 +246,22 @@ class TestRobustness:
 
 class TestPastTense:
     def test_past_first_verb(self):
-        assert detect_past_tense(make_sentence("OMB suggested a change.")) is True
+        assert profile("OMB suggested a change.").past_tense is True
 
     def test_present_first_verb(self):
-        assert detect_past_tense(make_sentence("OMB suggests a change.")) is False
+        assert profile("OMB suggests a change.").past_tense is False
 
     def test_modal_decides_present(self):
-        assert detect_past_tense(
-            make_sentence("We could have suggested a change.")) is False
+        assert profile("We could have suggested a change.").past_tense is False
 
     def test_no_verb(self):
-        assert detect_past_tense(make_sentence("Quarterly budget overview.")) is False
+        assert profile("Quarterly budget overview.").past_tense is False
 
     def test_unknown_ed_word(self):
-        assert detect_past_tense(
-            make_sentence("The committee adjourned early.")) is True
+        assert profile("The committee adjourned early.").past_tense is True
 
     def test_irregular_past(self):
-        assert detect_past_tense(make_sentence("He said nothing.")) is True
+        assert profile("He said nothing.").past_tense is True
 
 
 class TestEasySets:
@@ -352,18 +354,30 @@ class TestAggregates:
             ("Nothing verbal here.", "K1", 0),
         ])
         ids = [s.id for s in corpus.sentences]
-        freq = dict(verb_frequency(ids, corpus))
+        freq = dict(verb_frequency(ids, profiles_of(corpus)))
         assert freq["suggest"] == pytest.approx(2 / 3)
 
     def test_verb_frequency_top_k_and_ties(self):
         corpus = build_corpus([("We know and believe.", "K1", 1)])
-        freq = verb_frequency([corpus.sentences[0].id], corpus, top_k=1)
+        freq = verb_frequency([corpus.sentences[0].id], profiles_of(corpus), top_k=1)
         assert len(freq) == 1
 
     def test_verb_frequency_unknown_id(self):
         corpus = build_corpus([("a", "K1", 1)])
         with pytest.raises(DataError):
-            verb_frequency(["nope"], corpus)
+            verb_frequency(["nope"], profiles_of(corpus))
+
+    @pytest.mark.parametrize("table", [occurrence_table, cooccurrence_stats, verb_frequency])
+    def test_an_id_without_a_profile_is_a_data_error(self, table):
+        corpus, profiles = self._fixture()
+        ids = [s.id for s in corpus.sentences] + ["nope"]
+        with pytest.raises(DataError, match=f"{table.__name__}: no profiles for: .*nope"):
+            table(ids, profiles)
+
+    def test_profile_lemmas(self):
+        """Each verb form counts as its lemma and each modal as itself."""
+        p = profile("We could have suggested that they suggest it; it was seen.")
+        assert p.lemmas == {"could", "have", "suggest", "be", "see"}
 
     def test_csv_renderers(self):
         corpus, profiles = self._fixture()
@@ -372,7 +386,7 @@ class TestAggregates:
         assert occ.startswith("set,n,modal")
         coo = cooccurrence_csv({"easy-1": cooccurrence_stats(ids, profiles)})
         assert "median_unique" in coo.split("\n")[0]
-        verbs = verbs_csv({"easy-1": verb_frequency(ids, corpus)})
+        verbs = verbs_csv({"easy-1": verb_frequency(ids, profiles)})
         assert verbs.startswith("set,lemma,share_of_sentences")
 
     def test_pairs_csv_hand_counted(self):

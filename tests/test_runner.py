@@ -14,7 +14,8 @@ from delib.runner import (GRID_ORDER, _record_line, compute_run_id, load_manifes
                           run_variant)
 from delib.templates import TemplateSet
 
-from conftest import build_corpus, universal_mock_rules
+from conftest import (StopRun, build_corpus, raise_after, stopped_manifest,
+                      universal_mock_rules)
 
 
 def corpus_for_runs():
@@ -141,8 +142,9 @@ class TestResume:
         dir_a = tmp_path / "interrupted"
         dir_b = tmp_path / "straight"
 
-        partial = run_variant(corpus, Variant.ZERO_SHOT, backend(), dir_a,
-                              stop_after=5)
+        with pytest.raises(StopRun):
+            run_variant(corpus, Variant.ZERO_SHOT, backend(), dir_a, progress=raise_after(5))
+        partial = stopped_manifest(dir_a)
         assert partial.status == "interrupted"
         assert partial.n_records == 5
 
@@ -156,6 +158,25 @@ class TestResume:
         rec_a = (dir_a / resumed.run_id / "records.jsonl").read_bytes()
         rec_b = (dir_b / straight.run_id / "records.jsonl").read_bytes()
         assert rec_a == rec_b
+
+    def test_keyboard_interrupt_marks_the_run_interrupted(self, tmp_path):
+        """Ctrl-C during the sentences of a few-shot run leaves the manifest
+        interrupted with the counts of the records written; resuming
+        finishes the run byte-identical to an uninterrupted one."""
+        corpus = corpus_for_runs()
+        with pytest.raises(KeyboardInterrupt):
+            run_variant(corpus, Variant.FEW_SHOT, backend(), tmp_path / "stopped", k=2,
+                        progress=raise_after(9, KeyboardInterrupt))
+        partial = stopped_manifest(tmp_path / "stopped")
+        assert partial.status == "interrupted"
+        assert partial.n_records == partial.dispatched == 9
+
+        resumed = run_variant(corpus, Variant.FEW_SHOT, backend(), tmp_path / "stopped", k=2)
+        assert resumed.status == "finished"
+        assert resumed.dispatched == 32 - 9
+        straight = run_variant(corpus, Variant.FEW_SHOT, backend(), tmp_path / "straight", k=2)
+        assert ((tmp_path / "stopped" / resumed.run_id / "records.jsonl").read_bytes()
+                == (tmp_path / "straight" / straight.run_id / "records.jsonl").read_bytes())
 
     def test_resume_after_torn_last_line_byte_identical(self, tmp_path):
         """A crash mid-write leaves part of a line; resuming drops it and
