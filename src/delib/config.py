@@ -4,6 +4,7 @@ variables named by the config, never in the file itself."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,8 +119,12 @@ def _backend(name: str, spec, cache: ResponseCache) -> ChatBackend:
         for i, rule in enumerate(rules):
             if not isinstance(rule, dict) or not isinstance(rule.get("pattern"), str):
                 raise ConfigError(f"rules[{i}] needs a string pattern")
-            mock_rules.append(MockRule(pattern=rule["pattern"], response=_response(
-                rule.get("response"), f"rules[{i}].response")))
+            response = _response(rule.get("response"), f"rules[{i}].response")
+            try:
+                mock_rules.append(MockRule(pattern=rule["pattern"], response=response))
+            except re.error as exc:
+                raise ConfigError(f"rules[{i}].pattern {rule['pattern']!r} is not a "
+                                  f"valid regular expression: {exc}") from exc
         default = spec.get("default_response")
         if default is not None:
             default = _response(default, "default_response")

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError
+from .parsing import loads_line
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +77,10 @@ class BatchStats:
 def _normalize_for_id(text: str) -> str:
     if not unicodedata.is_normalized("NFC", text):
         text = unicodedata.normalize("NFC", text)
+    # Printable text holds no whitespace but " " (a test checks every code
+    # point), so without a doubled space only its ends can need collapsing
+    if text.isprintable() and "  " not in text:
+        return text.strip(" ")
     # str.split() splits on exactly the characters the regex \s matches
     return " ".join(text.split())
 
@@ -98,22 +103,28 @@ def _coerce_label(value, row_no: int) -> int:
     raise DataError(f"row {row_no}: label {value!r} is not binary")
 
 
-def _build_sentences(rows: Iterable[tuple[int, str, str, object]]) -> list[Sentence]:
+def _build_sentences(rows: Iterable[tuple[int, object, object, object]]) -> list[Sentence]:
     sentences: list[Sentence] = []
     occurrences: dict[str, int] = {}
     for row_no, batch, text, label in rows:
         if not isinstance(text, str) or not text.strip():
             raise DataError(f"row {row_no}: missing or empty text")
-        if not batch or not str(batch).strip():
+        if type(batch) is str:
+            batch = batch.strip()
+        elif batch:
+            batch = str(batch).strip()
+        if not batch:
             raise DataError(f"row {row_no}: missing batch code")
-        batch = str(batch).strip()
-        gold = _coerce_label(label, row_no)
-        base_id = sentence_id(batch, text)
+        gold = label if type(label) is int and 0 <= label <= 1 else _coerce_label(label, row_no)
+        sid = sentence_id(batch, text)
         # Duplicate (batch, text) pairs stay distinct records: suffix an
         # occurrence counter so repeated gold annotations keep their weight.
-        n = occurrences.get(base_id, 0)
-        occurrences[base_id] = n + 1
-        sid = base_id if n == 0 else f"{base_id}-{n}"
+        if sid in occurrences:
+            n = occurrences[sid]
+            occurrences[sid] = n + 1
+            sid = f"{sid}-{n}"
+        else:
+            occurrences[sid] = 1
         sentences.append(Sentence(id=sid, batch=batch, text=text, gold_label=gold))
     return sentences
 
@@ -121,17 +132,19 @@ def _build_sentences(rows: Iterable[tuple[int, str, str, object]]) -> list[Sente
 def _iter_jsonl(path: Path):
     with path.open("r", encoding="utf-8") as fh:
         for row_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
+                obj = loads_line(line)
             except json.JSONDecodeError as exc:
+                if not line.strip():
+                    continue
                 raise DataError(f"row {row_no}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
+            if type(obj) is not dict:
                 raise DataError(f"row {row_no}: expected an object")
-            if "text" not in obj or "batch" not in obj or "label" not in obj:
-                raise DataError(f"row {row_no}: missing one of text/batch/label")
-            yield row_no, obj["batch"], obj["text"], obj["label"]
+            try:
+                batch, text, label = obj["batch"], obj["text"], obj["label"]
+            except KeyError:
+                raise DataError(f"row {row_no}: missing one of text/batch/label") from None
+            yield row_no, batch, text, label
 
 
 def _resolve_columns(header: Sequence[str]) -> dict[str, int]:

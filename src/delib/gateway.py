@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import queue
 import re
@@ -239,22 +240,25 @@ class ResponseCache:
 
 
 class _RateLimiter:
-    def __init__(self, per_minute: int, sleep: Callable[[float], None]):
-        self.per_minute = per_minute
+    """Spaces admissions 60/per_minute seconds apart on a schedule (a
+    GCRA-style next-slot time, ITU-T I.371): each call takes the next free
+    slot under the lock, then sleeps once, outside it, until that slot."""
+
+    def __init__(self, per_minute: float, sleep: Callable[[float], None],
+                 clock: Callable[[], float] = time.monotonic):
+        self.interval = 60.0 / per_minute
         self.sleep = sleep
-        self._stamps: list[float] = []
+        self.clock = clock
+        self._next = -math.inf  # the earliest time the next call may start
         self._lock = threading.Lock()
 
     def admit(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._stamps = [t for t in self._stamps if now - t < 60.0]
-                if len(self._stamps) < self.per_minute:
-                    self._stamps.append(now)
-                    return
-                wait = 60.0 - (now - self._stamps[0])
-            self.sleep(max(wait, 0.01))
+        with self._lock:
+            now = self.clock()
+            slot = max(now, self._next)
+            self._next = slot + self.interval
+        if slot > now:
+            self.sleep(slot - now)
 
 
 #: Seconds an HTTP request may take before it fails as transient.
@@ -325,9 +329,14 @@ class MockRule:
     pattern: str
     response: str | Callable[[Sequence[Message]], str]
     faults: list[str] = field(default_factory=list)
+    _regex: re.Pattern = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # compiled when the rule is made: a malformed pattern raises re.error here
+        self._regex = re.compile(self.pattern)
 
     def matches(self, prompt_text: str) -> bool:
-        return re.search(self.pattern, prompt_text) is not None
+        return self._regex.search(prompt_text) is not None
 
 
 class ScriptedTransport:

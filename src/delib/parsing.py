@@ -32,6 +32,20 @@ _FENCE = re.compile(r"^```[a-zA-Z]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
 scan_json = json.JSONDecoder().scan_once
 
 
+def loads_line(line: str):
+    """json.loads(line), for one line of a JSONL file. The scanner decodes
+    a line that is one value and at most a "\\n" by itself; any other line
+    (padded, blank, malformed) goes to json.loads, which raises
+    json.JSONDecodeError where it always did."""
+    try:
+        value, end = scan_json(line, 0)
+    except (StopIteration, ValueError):
+        return json.loads(line)
+    if end == len(line) or line[end:] == "\n":
+        return value
+    return json.loads(line)
+
+
 @dataclass(slots=True)
 class ParsedPrediction:
     label: int

@@ -25,7 +25,7 @@ from .corpus import Corpus
 from .dispatch import run_window
 from .errors import DataError
 from .gateway import ChatBackend, Steps, classify, classify_steps
-from .parsing import scan_json
+from .parsing import loads_line
 from .prompting import (VARIANTS, ExampleSet, Variant, build_error_pool, reasoned_examples,
                         reasoned_examples_steps, render_cot, render_cot_few_shot,
                         render_few_shot, render_zero_shot, select_few_shot_examples)
@@ -122,20 +122,14 @@ def _iter_records(run_dir: str | Path) -> Iterator[dict]:
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             try:
-                record, end = scan_json(line, 0)
-                if end != len(line) and line[end:] != "\n":
-                    raise ValueError("text after the value")
-            except (StopIteration, ValueError):
-                # Padding, blank lines and malformed lines, as json.loads sees them.
+                record = loads_line(line)
+            except json.JSONDecodeError as exc:
                 if not line.strip():
                     continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(
-                        f"{path}: line {line_no} is not a JSON record ({exc.msg}); "
-                        "if the run was interrupted, resuming it repairs the file"
-                    ) from exc
+                raise DataError(
+                    f"{path}: line {line_no} is not a JSON record ({exc.msg}); "
+                    "if the run was interrupted, resuming it repairs the file"
+                ) from exc
             if not _is_record(record):
                 raise DataError(
                     f"{path}: line {line_no} is not a prediction record: it needs a "

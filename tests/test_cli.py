@@ -562,9 +562,11 @@ def _top(**changes):
     (_top(backends=["echo"]), ["backends"]),
     (_echo(limits=[2, 1]), ["'echo'", "limits"]),
     (_echo(rules=[{"response": "x"}]), ["'echo'", "rules[0]", "pattern"]),
+    (_echo(rules=[{"pattern": "[", "response": "x"}]), ["'echo'", "rules[0].pattern"]),
     (_top(runs_dir=5), ["runs_dir"]),
 ], ids=["rpm '60'", "rpm 0", "rpm -1", "max_in_flight many", "temperature hot",
-        "backends a list", "limits a list", "rule without pattern", "runs_dir 5"])
+        "backends a list", "limits a list", "rule without pattern", "rule pattern not a regex",
+        "runs_dir 5"])
 def test_a_malformed_config_value_exits_2(tmp_path, capsys, change, names):
     doc = valid_config()
     change(doc)
@@ -592,8 +594,7 @@ def _config_paths(node, path=()):
         yield from _config_paths(value, path + (key,))
 
 
-# No number among them: a number in requests_per_minute is a valid rate, and
-# the mock waits it out in real time.
+# No number among them: a number in requests_per_minute is a valid rate.
 _CONFIG_VALUES = [None, True, "", "many", [], ["x"], {}, {"a": 1}]
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delib.corpus import (corpus_stats, filter_batches, parse_dataset,
-                          save_jsonl, sentence_id, stats_csv, stats_table)
+from delib.corpus import (Corpus, Sentence, _normalize_for_id, corpus_stats, filter_batches,
+                          parse_dataset, save_jsonl, sentence_id, stats_csv, stats_table)
 from delib.errors import DataError
 
 from conftest import FULL_SHAPE, KEPT_BATCHES, TOTAL_KEPT, build_corpus
@@ -74,6 +74,141 @@ class TestSentenceIdContract:
         differing = [c for c in map(chr, range(0x110000))
                      if (_REF_WS.match(c) is not None) != c.isspace()]
         assert differing == []
+
+    def test_collapse_shortcut_is_exact_for_every_code_point(self):
+        """Printable text without a doubled space skips the split/join; for
+        every code point, in the middle of a text, at each end and doubled,
+        the id text is still the NFC text's split/join."""
+        differing = [text for c in map(chr, range(0x110000))
+                     for text in (f"a{c}b", f"{c}ab", f"ab{c}", f"a{c}{c}b")
+                     if _normalize_for_id(text)
+                     != " ".join(unicodedata.normalize("NFC", text).split())]
+        assert differing == []
+
+
+def reference_coerce_label(value, row_no: int) -> int:
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int) and value in (0, 1):
+        return value
+    if isinstance(value, str) and value.strip() in ("0", "1"):
+        return int(value.strip())
+    raise DataError(f"row {row_no}: label {value!r} is not binary")
+
+
+def reference_build_sentences(rows) -> list[Sentence]:
+    """The row checks and ids of JSONL and table ingest, as first written."""
+    sentences = []
+    occurrences = {}
+    for row_no, batch, text, label in rows:
+        if not isinstance(text, str) or not text.strip():
+            raise DataError(f"row {row_no}: missing or empty text")
+        if not batch or not str(batch).strip():
+            raise DataError(f"row {row_no}: missing batch code")
+        batch = str(batch).strip()
+        gold = reference_coerce_label(label, row_no)
+        base_id = reference_sentence_id(batch, text)
+        n = occurrences.get(base_id, 0)
+        occurrences[base_id] = n + 1
+        sid = base_id if n == 0 else f"{base_id}-{n}"
+        sentences.append(Sentence(id=sid, batch=batch, text=text, gold_label=gold))
+    return sentences
+
+
+def reference_iter_jsonl(path):
+    """JSONL rows through json.loads, as first written."""
+    with path.open("r", encoding="utf-8") as fh:
+        for row_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"row {row_no}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"row {row_no}: expected an object")
+            if "text" not in obj or "batch" not in obj or "label" not in obj:
+                raise DataError(f"row {row_no}: missing one of text/batch/label")
+            yield row_no, obj["batch"], obj["text"], obj["label"]
+
+
+def reference_parse_jsonl(path) -> Corpus:
+    sentences = reference_build_sentences(reference_iter_jsonl(path))
+    if not sentences:
+        raise DataError("no records")
+    return Corpus(sentences=sentences)
+
+
+def ingest_outcome(parse, path):
+    """The sentences (with each value's type) and digest a parse gives, or
+    its DataError message."""
+    try:
+        corpus = parse(path)
+    except DataError as exc:
+        return str(exc)
+    return ([(s.id, s.batch, s.text, s.gold_label, type(s.batch), type(s.gold_label))
+             for s in corpus.sentences], corpus.digest())
+
+
+_GOOD_TEXTS = st.one_of(
+    st.text(alphabet=ID_ALPHABET + UNICODE_WHITESPACE, max_size=12).filter(str.strip),
+    st.sampled_from(["Same text.", " Same \u3000text.\x85", "Same\ttext.",
+                     "cafe\u0301 au lait", "caf\u00e9 au lait", "\u212b\u0130", "a  b"]))
+_BAD_TEXTS = st.sampled_from(["", " ", "\u3000\x85\u2028", 5, None, ["text"]])
+_GOOD_BATCHES = st.sampled_from(["K1", "K2", " K1 ", "\u00a0R4\t", "b\u0301", 5, 1.5, ["K1"]])
+_BAD_BATCHES = st.sampled_from(["", "  ", "\u3000", 0, 0.0, False, None, [], {}])
+_GOOD_LABELS = st.sampled_from([0, 1, "1", " 0 ", "\t1\u3000", True, False])
+_BAD_LABELS = st.sampled_from([2, -1, 1.0, 0.0, None, "yes", "", "01", [1]])
+
+
+def _mostly(good, bad):
+    """Values of good, and one time in twenty of bad."""
+    return st.integers(0, 19).flatmap(lambda n: bad if n == 0 else good)
+
+
+@st.composite
+def jsonl_lines(draw):
+    kind = draw(st.sampled_from(["row"] * 30 + ["blank"] * 3 + [
+        "not an object", "missing a key", "malformed", "padded past JSON whitespace"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\u00a0", "\u3000 \x0c"]))
+    if kind == "not an object":
+        return json.dumps(draw(st.sampled_from([[1], 5, "text", None, True, []])))
+    if kind == "malformed":
+        return draw(st.sampled_from(["not json", '{"batch": "K1"', '{"text": "a"} x',
+                                     "\ufeff{}", "{'a': 1}", '{"a": 1}{"b": 2}']))
+    row = {"batch": draw(_mostly(_GOOD_BATCHES, _BAD_BATCHES)),
+           "text": draw(_mostly(_GOOD_TEXTS, _BAD_TEXTS)),
+           "label": draw(_mostly(_GOOD_LABELS, _BAD_LABELS))}
+    if kind == "missing a key":
+        del row[draw(st.sampled_from(sorted(row)))]
+    if draw(st.booleans()):
+        row["note"] = "extra"
+    keys = draw(st.permutations(list(row)))
+    line = json.dumps({key: row[key] for key in keys}, ensure_ascii=draw(st.booleans()))
+    if kind == "padded past JSON whitespace":
+        return draw(st.sampled_from(["\u3000", "\x0c", ""])) + line + draw(
+            st.sampled_from(["\u3000", "\x0c", "\x85"]))
+    return (draw(st.sampled_from(["", "", " ", "\t "])) + line
+            + draw(st.sampled_from(["", "", " ", "\t", " \r"])))
+
+
+class TestIngestEquivalence:
+    @given(lines=st.lists(jsonl_lines(), max_size=8), newline=st.sampled_from(["\n", "\r\n"]),
+           last_newline=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_jsonl_matches_reference(self, tmp_path_factory, lines, newline, last_newline):
+        """Every file gives the reference's sentences and digest, or its
+        DataError message."""
+        path = tmp_path_factory.getbasetemp() / "generated.jsonl"
+        path.write_bytes((newline.join(lines) + (newline if last_newline else ""))
+                         .encode("utf-8"))
+        assert (ingest_outcome(parse_dataset, path)
+                == ingest_outcome(reference_parse_jsonl, path))
+
+    def test_generated_grid_corpus_matches_reference(self, full_corpus_jsonl):
+        assert (ingest_outcome(parse_dataset, full_corpus_jsonl)
+                == ingest_outcome(reference_parse_jsonl, full_corpus_jsonl))
 
 
 class TestParseDataset:

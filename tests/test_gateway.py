@@ -1,16 +1,21 @@
 import hashlib
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delib.config import Settings, build_backend
 from delib.errors import ConfigError, TransportError
 from delib.gateway import (BackendConfig, CacheKeys, ChatBackend, DecodingParams,
                            Limits, MockRule, ResponseCache, ScriptedTransport,
                            cache_key, classify, mock_backend)
-from delib.prompting import PromptBundle
+from delib.prompting import PromptBundle, Variant
+from delib.runner import run_variant
+
+from conftest import build_corpus
 
 MSGS = [{"role": "system", "content": "sys"},
         {"role": "user", "content": "classify this"}]
@@ -413,30 +418,50 @@ class TestConcurrency:
         assert reached, "B waited for A's backoff to end"
         assert transport.calls == 3
 
-    def test_rate_limiter_blocks_past_quota(self):
-        waits = []
-
-        def fake_sleep(seconds):
-            # record the requested wait, then expire the oldest stamp so the
-            # limiter makes progress without real time passing
-            waits.append(seconds)
-            limiter._stamps[0] -= 61
-
+    def test_rate_limiter_spaces_slots(self):
+        """Calls made at one instant from several threads get slots 60/rate
+        apart, and each sleeps once, until its own slot."""
         from delib.gateway import _RateLimiter
-        limiter = _RateLimiter(2, fake_sleep)
-        limiter.admit()
-        limiter.admit()
-        assert waits == []
-        limiter.admit()  # over quota: must sleep before admission
-        assert len(waits) == 1 and waits[0] > 0
+        waits, lock = [], threading.Lock()
 
-    def test_rate_limiter_allows_after_window(self):
+        def record(seconds):
+            with lock:
+                waits.append(seconds)
+
+        limiter = _RateLimiter(120, record, clock=lambda: 100.0)
+        threads = [threading.Thread(target=lambda: [limiter.admit() for _ in range(5)])
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5)
+        assert not any(thread.is_alive() for thread in threads)
+        # the first call takes the current slot without sleeping
+        assert sorted(waits) == [0.5 * k for k in range(1, 20)]
+
+    def test_rate_limiter_sleeps_only_before_a_due_slot(self):
         from delib.gateway import _RateLimiter
-        limiter = _RateLimiter(2, lambda _t: pytest.fail("should not sleep"))
-        limiter.admit()
-        limiter.admit()
-        limiter._stamps = [t - 61 for t in limiter._stamps]  # window elapsed
-        limiter.admit()
+        now, waits = [0.0], []
+        limiter = _RateLimiter(2, waits.append, clock=lambda: now[0])
+        limiter.admit()  # the first call's slot is now
+        now[0] = 30.0
+        limiter.admit()  # on its slot, 60/2 s later
+        now[0] = 500.0
+        limiter.admit()  # after an idle spell...
+        limiter.admit()  # ...the next call still waits a whole interval: no burst
+        assert waits == [30.0]
+
+    def test_rate_limited_mock_run_does_not_spin(self, tmp_path):
+        """A mock backend's sleep returns at once; the limiter must not turn
+        that into a busy wait."""
+        backend = build_backend(Settings(backends={"echo": {
+            "type": "mock", "default_response": {"deliberative": 0},
+            "limits": {"requests_per_minute": 1}}}, cache_dir=None), "echo")
+        corpus = build_corpus([(f"Sentence number {i}.", "K1", i % 2) for i in range(100)])
+        cpu = time.process_time()
+        run_variant(corpus, Variant.ZERO_SHOT, backend, tmp_path)
+        assert backend.transport.calls == 100
+        assert time.process_time() - cpu < 1.0
 
 
 class TestScriptedTransport:
