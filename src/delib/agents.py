@@ -12,8 +12,8 @@ from .errors import DataError
 # classify and the render_* functions stay importable here: perfbench/tracing.py
 # wraps them by these names.
 from .gateway import ChatBackend, Steps, classify, classify_steps, drive
-from .prompting import (VARIANTS, Example, ExampleSet, PromptBundle, Variant, render_cot,
-                        render_cot_few_shot, render_prompt, render_zero_shot)
+from .prompting import (PromptBundle, render_cot, render_cot_few_shot, render_prompt,
+                        render_zero_shot)
 from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 log = logging.getLogger(__name__)
@@ -214,30 +214,12 @@ def predictor_critic_judge_steps(
                       final_label=judge.label, resolution=JUDGE_DECIDED)
 
 
-def run_predictor_critic_judge(
-    sentence: Sentence,
-    backend: ChatBackend,
-    predictor_variant: Variant = Variant.COT,
-    examples: Sequence[Example] | None = None,
-    templates: TemplateSet = DEFAULT_TEMPLATES,
-    repair_policy: str = "LENIENT",
-) -> AgentTrace:
-    """CoT predictor, critic review, judge only on disagreement.
-
-    predictor_variant is a single-agent variant whose prompt starts a
-    predictor-critic-judge variant in VARIANTS; examples are the reasoned
-    examples of a variant with an example pool."""
-    spec = VARIANTS[predictor_variant]
-    if spec.agents or not any(s.agents == "critic" and s.first == spec.first
-                              for s in VARIANTS.values()):
-        raise DataError(f"unsupported predictor variant: {predictor_variant}")
-    example_set = None
-    if spec.examples:
-        if not examples:
-            raise DataError("predictor variant requires reasoned examples")
-        example_set = ExampleSet.cot(examples, templates)
-    predictor = spec.prompt(sentence, example_set, templates)
-    return drive(predictor_critic_judge_steps(sentence, templates, repair_policy, predictor),
+def run_predictor_critic_judge(sentence: Sentence, backend: ChatBackend,
+                               templates: TemplateSet = DEFAULT_TEMPLATES,
+                               repair_policy: str = "LENIENT",
+                               first: PromptBundle | None = None) -> AgentTrace:
+    """Predictor (first, by default CoT), critic review, judge only on disagreement."""
+    return drive(predictor_critic_judge_steps(sentence, templates, repair_policy, first),
                  backend.complete)
 
 

@@ -65,7 +65,7 @@ def stats(corpus_path, csv_path):
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--batches", default=None,
               help="Comma-separated batch codes to run; examples come from the others.")
-@click.option("--k", default=5, show_default=True)
+@click.option("--k", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--strict-schema", is_flag=True, default=False)
 @click.option("--zero-shot-run", "zero_shot_run", default=None,
@@ -76,13 +76,11 @@ def run(settings, variant_name, backend_name, corpus_path, batches, k, seed,
     """Execute one prompting variant over the corpus."""
     corpus = corpus_mod.parse_dataset(corpus_path)
     backend = build_backend(settings, backend_name)
-    templates = TemplateSet(settings.resolve(settings.template_dir))
     manifest = runner.run_variant(
-        corpus, Variant(variant_name.upper()), backend,
-        settings.resolve(settings.runs_dir),
+        corpus, Variant(variant_name.upper()), backend, settings.runs_dir,
         batches=batches.split(",") if batches else None, k=k, seed=seed,
         repair_policy="STRICT" if strict_schema else "LENIENT",
-        templates=templates,
+        templates=TemplateSet(settings.template_dir),
         zero_shot_run_dir=_find_run_dir(settings, zero_shot_run) if zero_shot_run else None)
     click.echo(f"run {manifest.run_id}: {manifest.status}, "
                f"{manifest.n_records} records, "
@@ -93,7 +91,7 @@ def _find_run_dir(settings, run_id: str) -> Path:
     direct = Path(run_id)
     if direct.is_dir():
         return direct
-    candidate = settings.resolve(settings.runs_dir) / run_id
+    candidate = settings.runs_dir / run_id
     if candidate.is_dir():
         return candidate
     raise DataError(f"run not found: {run_id}")
@@ -116,7 +114,7 @@ def eval_cmd(settings, run_id, corpus_path, per_batch, failures_as_negative):
     reports = evaluation.evaluate_run(predictions, corpus, scopes,
                                       failures_as_negative)
     click.echo(evaluation.metrics_text(reports))
-    out_dir = settings.resolve(settings.reports_dir) / manifest.run_id
+    out_dir = settings.reports_dir / manifest.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.txt").write_text(evaluation.metrics_text(reports) + "\n",
                                          encoding="utf-8")
@@ -169,7 +167,7 @@ def compare(settings, run_ids, corpus_path, out_dir):
 @click.option("--runs", "run_ids", required=True)
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--out-dir", "out_dir", default=None, type=click.Path())
-@click.option("--top-verbs", default=10, show_default=True)
+@click.option("--top-verbs", default=10, show_default=True, type=click.IntRange(min=1))
 @click.pass_obj
 def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
     """Easy sets and the linguistic indicator tables."""
@@ -178,7 +176,7 @@ def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
     for run_id in run_ids.split(","):
         run_predictions.append(
             runner.load_predictions(_find_run_dir(settings, run_id.strip())))
-    lexicons = indicators.load_lexicons(settings.resolve(settings.lexicon_dir))
+    lexicons = indicators.load_lexicons(settings.lexicon_dir)
     easy = indicators.build_easy_sets(run_predictions, corpus)
     by_id = corpus.by_id()
     # the tables read only the easy-set sentences

@@ -17,19 +17,13 @@ from .gateway import (BackendConfig, ChatBackend, DecodingParams, Limits,
 
 @dataclass
 class Settings:
+    """Backends and directories; load_settings joins each directory to the config file's."""
     backends: dict = field(default_factory=dict)
-    template_dir: str | None = None
-    lexicon_dir: str | None = None
-    cache_dir: str | None = "cache"
-    runs_dir: str = "runs"
-    reports_dir: str = "reports"
-    base_dir: Path = field(default_factory=Path)
-
-    def resolve(self, value: str | None) -> Path | None:
-        if value is None:
-            return None
-        path = Path(value)
-        return path if path.is_absolute() else self.base_dir / path
+    template_dir: Path | None = None
+    lexicon_dir: Path | None = None
+    cache_dir: Path | None = Path("cache")
+    runs_dir: Path = Path("runs")
+    reports_dir: Path = Path("reports")
 
 
 def load_settings(path: str | Path | None) -> Settings:
@@ -44,15 +38,17 @@ def load_settings(path: str | Path | None) -> Settings:
         raise ConfigError(f"invalid config file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    settings = Settings(base_dir=path.parent.resolve())
-    settings.backends = doc.get("backends", {}) or {}
+    settings = Settings(backends=doc.get("backends", {}) or {})
     if not isinstance(settings.backends, dict):
         raise ConfigError("config key backends must be a mapping of backend names")
+    base = path.parent.resolve()
     for key in ("template_dir", "lexicon_dir", "cache_dir", "runs_dir", "reports_dir"):
-        if key in doc and doc[key] is not None:
-            if not isinstance(doc[key], str):
-                raise ConfigError(f"config key {key} must be a path, got {doc[key]!r}")
-            setattr(settings, key, doc[key])
+        value = doc.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"config key {key} must be a path, got {value!r}")
+        value = getattr(settings, key) if value is None else Path(value)
+        # base / an absolute path is that path
+        setattr(settings, key, None if value is None else base / value)
     return settings
 
 
@@ -63,14 +59,24 @@ _DECODING_KEYS = {"temperature": float, "max_output_tokens": int, "response_form
 
 
 def _values(spec: dict, converters: dict, where: str = "") -> dict:
-    """The keys of spec that converters names (and only those), converted."""
+    """The keys of spec that converters names (and only those), converted.
+    A bool is not a number, and a float with a fraction is not an int
+    (Limits checks requests_per_minute itself)."""
     values = {}
     for key, convert in converters.items():
         if key in spec:
+            value = spec[key]
+            if convert is None:
+                values[key] = value
+                continue
             try:
-                values[key] = spec[key] if convert is None else convert(spec[key])
+                if type(value) is bool or (convert is int and type(value) is float
+                                           and not value.is_integer()):
+                    raise ValueError
+                values[key] = convert(value)
             except (TypeError, ValueError):
-                raise ConfigError(f"{where}{key} must be a number, got {spec[key]!r}") from None
+                kind = "a whole number" if convert is int else "a number"
+                raise ConfigError(f"{where}{key} must be {kind}, got {value!r}") from None
     return values
 
 
@@ -94,7 +100,7 @@ def build_backend(settings: Settings, name: str) -> ChatBackend:
     if spec is None:
         raise ConfigError(f"backend {name!r} is not defined in the config")
     try:
-        return _backend(name, spec, ResponseCache(settings.resolve(settings.cache_dir)))
+        return _backend(name, spec, ResponseCache(settings.cache_dir))
     except ConfigError as exc:
         raise ConfigError(f"backend {name!r}: {exc}") from exc
 

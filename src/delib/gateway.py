@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 from .errors import ConfigError, DataError, SchemaError, TransportError
-from .parsing import ParsedPrediction, parse_prediction
+from .parsing import ParsedPrediction, dumps_canonical, parse_prediction
 
 if TYPE_CHECKING:
     from .prompting import PromptBundle
@@ -80,8 +80,7 @@ class CompletionResult:
     attempt: int = 0
 
 
-#: json.dumps(value, sort_keys=True, ensure_ascii=False), and the same for a str.
-_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+#: json.dumps(value, ensure_ascii=False) for a str.
 _json_str = json.encoder.encode_basestring
 #: Distinct system messages a backend keeps a hash state for.
 MAX_SYSTEM_STATES = 64
@@ -94,24 +93,22 @@ def _plain(message) -> bool:
 
 
 def _encode_message(message: Message) -> str:
-    """json.dumps(message, sort_keys=True, ensure_ascii=False), spelled out
-    for the usual {"role": str, "content": str}."""
+    """dumps_canonical(message), spelled out for the usual {"role": str, "content": str}."""
     if _plain(message):
         content, role = _json_str(message["content"]), _json_str(message["role"])
         return f'{{"content": {content}, "role": {role}}}'
-    return _JSON.encode(message)
+    return dumps_canonical(message)
 
 
 class CacheKeys:
     """The reusable parts of one backend's cache keys.
 
-    A cache key is the sha256 of json.dumps({"backend", "decoding",
-    "messages", "model"}, sort_keys=True, ensure_ascii=False). With sorted
-    keys that text is a head fixed by the config, the messages, and a fixed
-    tail. The head is encoded once; a hash state that has absorbed the head
-    and a system message is kept for each distinct system message, up to
-    MAX_SYSTEM_STATES, so a completion encodes and hashes only the messages
-    after it.
+    A cache key is the sha256 of dumps_canonical({"backend", "decoding",
+    "messages", "model"}): a head fixed by the config, the messages, and a
+    fixed tail. The head is encoded once; a hash state that has absorbed
+    the head and a system message is kept for each distinct system message,
+    up to MAX_SYSTEM_STATES, so a completion encodes and hashes only the
+    messages after it.
 
     Next to each, a hash state is kept after the start of a user message:
     its text up to the last newline, such as a few-shot prompt's example
@@ -121,7 +118,7 @@ class CacheKeys:
     """
 
     def __init__(self, config: BackendConfig):
-        decoding = _JSON.encode(
+        decoding = dumps_canonical(
             {"temperature": config.decoding.temperature,
              "max_output_tokens": config.decoding.max_output_tokens,
              "response_format_hint": config.decoding.response_format_hint})
@@ -231,8 +228,7 @@ class ResponseCache:
             # writers of one key never write into each other's temp file
             tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
             try:
-                tmp.write_text(json.dumps(entry, ensure_ascii=False, sort_keys=True),
-                               encoding="utf-8")
+                tmp.write_text(dumps_canonical(entry), encoding="utf-8")
                 tmp.replace(path)
             except OSError:
                 tmp.unlink(missing_ok=True)

@@ -11,6 +11,7 @@ documented approximation.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -27,6 +28,15 @@ CATEGORY_ORDER = ("modal", "first_person", "future_temporal",
                   "reporting", "cognitive", "stative")
 # Categories matched on the surface form; the rest match on the lemma.
 _SURFACE_CATEGORIES = ("modal", "first_person", "future_temporal")
+# The word lists in the lexicon digest's order; "verbs" holds verb lemmas of
+# no category. The lemmas of a list not matched on the surface get inflections.
+_LEXICON_FILES = ("stative", "reporting", "modal", "cognitive",
+                  "first_person", "future_temporal", "verbs")
+_VERB_FILES = tuple(name for name in _LEXICON_FILES if name not in _SURFACE_CATEGORIES)
+#: The fewest runs easy sets are built from; the category pairs
+#: cooccurrence_stats reports per set.
+FEWEST_EASY_RUNS = 2
+TOP_PAIRS = 5
 
 _VOWELS = set("aeiou")
 _TOKEN = re.compile(r"[a-zA-Z]+(?:'[a-zA-Z]+)?")
@@ -125,14 +135,7 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
             raise ConfigError(f"missing lexicon file: {name}.txt")
         return _read_wordlist(path)
 
-    stative = read("stative")
-    reporting = read("reporting")
-    modal = read("modal")
-    cognitive = read("cognitive")
-    first_person = read("first_person")
-    future_temporal = read("future_temporal")
-    extra_verbs = read("verbs")
-
+    words = {name: read(name) for name in _LEXICON_FILES}
     inflections: dict[str, str] = {}
     tense: dict[str, str] = {}
     irregular_lemmas: set[str] = set()
@@ -145,8 +148,7 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
         tense[form] = tag
         irregular_lemmas.add(lemma)
 
-    verb_lemmas = set(stative) | set(reporting) | set(cognitive) | set(extra_verbs)
-    for lemma in sorted(verb_lemmas):
+    for lemma in sorted(set().union(*(words[name] for name in _VERB_FILES))):
         inflections.setdefault(lemma, lemma)
         tense.setdefault(lemma, "pres")
         if lemma in irregular_lemmas:
@@ -156,27 +158,19 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
             tense.setdefault(form, tag)
 
     digest_src = "\n".join(
-        sorted(stative) + sorted(reporting) + sorted(modal) + sorted(cognitive)
-        + sorted(first_person) + sorted(future_temporal) + sorted(extra_verbs)
+        [w for name in _LEXICON_FILES for w in sorted(words[name])]
         + sorted(f"{k}:{v}" for k, v in inflections.items()))
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
 
-    sets = {"stative": frozenset(stative), "reporting": frozenset(reporting),
-            "modal": frozenset(modal), "cognitive": frozenset(cognitive),
-            "first_person": frozenset(first_person),
-            "future_temporal": frozenset(future_temporal)}
+    sets = {c: frozenset(words[c]) for c in CATEGORY_ORDER}
     return Lexicons(**sets, inflections=inflections, tense=tense,
                     categories=_resolve_categories(sets, inflections), digest=digest)
 
 
-DEFAULT_LEXICONS = None  # lazily built by default_lexicons()
-
-
+@functools.cache
 def default_lexicons() -> Lexicons:
-    global DEFAULT_LEXICONS
-    if DEFAULT_LEXICONS is None:
-        DEFAULT_LEXICONS = load_lexicons()
-    return DEFAULT_LEXICONS
+    """The bundled lexicons, loaded on first use."""
+    return load_lexicons()
 
 
 def tokenize(text: str) -> list[str]:
@@ -276,14 +270,14 @@ class EasySets:
     n_runs: int
 
 
-def build_easy_sets(runs: Sequence[Mapping[str, int | None]], corpus: Corpus,
-                    min_runs: int = 2) -> EasySets:
-    """Sentences every run predicted correctly, split by gold label.
+def build_easy_sets(runs: Sequence[Mapping[str, int | None]], corpus: Corpus) -> EasySets:
+    """Sentences every run (at least FEWEST_EASY_RUNS) predicted correctly,
+    split by gold label.
 
     A schema failure (None) in any run disqualifies the sentence.
     """
-    if len(runs) < min_runs:
-        raise DataError(f"need at least {min_runs} runs for easy sets, got {len(runs)}")
+    if len(runs) < FEWEST_EASY_RUNS:
+        raise DataError(f"need at least {FEWEST_EASY_RUNS} runs for easy sets, got {len(runs)}")
     easy_1: set[str] = set()
     easy_0: set[str] = set()
     for s in corpus.sentences:
@@ -328,11 +322,10 @@ def _lower_median(values: list[int]) -> int:
 
 
 def cooccurrence_stats(ids: Iterable[str],
-                       profiles: Mapping[str, IndicatorProfile],
-                       top_k: int = 5) -> dict:
+                       profiles: Mapping[str, IndicatorProfile]) -> dict:
     """Medians of unique/total indicator counts, >=2 and zero shares, and
-    the most frequent unordered category pairs (past tense excluded from
-    all counting)."""
+    the TOP_PAIRS most frequent unordered category pairs (past tense
+    excluded from all counting)."""
     ids = _profiled(ids, profiles, "cooccurrence_stats")
     uniques = [profiles[i].unique_count for i in ids]
     totals = [profiles[i].total_count for i in ids]
@@ -343,7 +336,7 @@ def cooccurrence_stats(ids: Iterable[str],
             for b_idx in range(a_idx + 1, len(cats)):
                 pair = (cats[a_idx], cats[b_idx])
                 pair_counts[pair] = pair_counts.get(pair, 0) + 1
-    top_pairs = sorted(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    top_pairs = sorted(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_PAIRS]
     n = len(ids)
     return {
         "n": n,

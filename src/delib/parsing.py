@@ -30,6 +30,8 @@ _LABEL_FIELD = {"SIMPLE": "deliberative", "COT": "deliberative",
 _FENCE = re.compile(r"^```[a-zA-Z]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
 #: Decodes one JSON value at an index without json.loads' per-call checks.
 scan_json = json.JSONDecoder().scan_once
+#: json.dumps(value, sort_keys=True, ensure_ascii=False) with one prebuilt encoder.
+dumps_canonical = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def loads_line(line: str):

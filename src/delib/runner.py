@@ -25,7 +25,7 @@ from .corpus import Corpus
 from .dispatch import run_window
 from .errors import DataError
 from .gateway import ChatBackend, Steps, classify, classify_steps
-from .parsing import loads_line
+from .parsing import dumps_canonical, loads_line
 from .prompting import (VARIANTS, ExampleSet, Variant, build_error_pool, reasoned_examples,
                         reasoned_examples_steps, render_cot, render_cot_few_shot,
                         render_few_shot, render_zero_shot, select_few_shot_examples)
@@ -93,15 +93,6 @@ def compute_run_id(variant: Variant, backend_digest: str, corpus_digest: str,
     payload = json.dumps(fields)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:10]
     return f"{variant.value.lower()}-{digest}"
-
-
-#: json.dumps(record, sort_keys=True, ensure_ascii=False) without building
-#: an encoder per call.
-_RECORD_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
-
-
-def _record_line(record: dict) -> str:
-    return _RECORD_JSON.encode(record) + "\n"
 
 
 def _is_record(record) -> bool:
@@ -221,6 +212,8 @@ def run_variant(
     backend's max_in_flight), but records are written in scope order and
     are the same as when sentences are dispatched one at a time.
     """
+    if k < 1:
+        raise DataError(f"k must be at least 1, got {k}")
     wanted = None if batches is None else set(batches)
     scope = [s for s in corpus.sentences if wanted is None or s.batch in wanted]
     if not scope:
@@ -270,7 +263,7 @@ def run_variant(
 
     def commit(record: dict) -> None:
         record["run_id"] = run_id
-        records_fh.write(_record_line(record))
+        records_fh.write(dumps_canonical(record) + "\n")
         manifest.dispatched += 1
         manifest.cached += record.get("cached", 0)
         if record["final_label"] is None:

@@ -10,7 +10,8 @@ from delib.agents import (AGREEMENT, CRITIC, CRITIC_ACCEPTED, JUDGE,
                           run_predictor_critic_judge)
 from delib.errors import DataError
 from delib.gateway import MockRule, mock_backend
-from delib.prompting import Example, Variant
+from delib.prompting import VARIANTS, Example, ExampleSet, Variant
+from delib.templates import DEFAULT_TEMPLATES
 
 from conftest import build_corpus, make_sentence
 
@@ -137,24 +138,18 @@ class TestPredictorCriticJudge:
     def test_few_shot_error_predictor(self):
         exs = [Example(sentence=make_sentence("E", "K2", 1), gold_label=1,
                        reasoning={"step1": "a", "step2": "b"})]
+        s = make_sentence("x", "K1")
         backend = pcj_backend(1, "sound", 1)
         trace = run_predictor_critic_judge(
-            make_sentence("x", "K1"), backend,
-            predictor_variant=Variant.COT_FEW_SHOT_ERROR, examples=exs)
+            s, backend, first=VARIANTS[Variant.COT_FEW_SHOT_ERROR].prompt(
+                s, ExampleSet.cot(exs, DEFAULT_TEMPLATES), DEFAULT_TEMPLATES))
         assert trace.final_label == 1
 
     def test_few_shot_error_predictor_requires_examples(self):
-        with pytest.raises(DataError, match="reasoned examples"):
-            run_predictor_critic_judge(
-                make_sentence("x", "K1"), pcj_backend(1, "sound", 1),
-                predictor_variant=Variant.COT_FEW_SHOT_ERROR)
-
-    def test_unsupported_predictor_variant(self):
-        for variant in set(Variant) - {Variant.COT, Variant.COT_FEW_SHOT_ERROR}:
-            with pytest.raises(DataError, match="unsupported predictor"):
-                run_predictor_critic_judge(
-                    make_sentence("x", "K1"), pcj_backend(1, "sound", 1),
-                    predictor_variant=variant)
+        with pytest.raises(DataError, match="no examples supplied"):
+            VARIANTS[Variant.COT_FEW_SHOT_ERROR].prompt(
+                make_sentence("x", "K1"), ExampleSet.cot([], DEFAULT_TEMPLATES),
+                DEFAULT_TEMPLATES)
 
     def test_predictor_schema_failure(self):
         backend = mock_backend(default="no json at all")

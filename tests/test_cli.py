@@ -12,7 +12,7 @@ import delib.indicators
 from delib.cli import main
 from delib.config import build_backend, load_settings
 from delib.corpus import parse_dataset
-from delib.errors import ConfigError
+from delib.errors import ConfigError, DataError
 from delib.prompting import Variant
 from delib.runner import load_records, run_variant
 
@@ -208,6 +208,21 @@ class TestRunEvalCompare:
         assert code == 0, capsys.readouterr().err
         assert "finished, 6 records" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_1_is_usage_error(self, workspace, capsys, k):
+        tmp_path, config, data = workspace
+        assert self._run(config, data, variant="FEW_SHOT", extra=("--k", k)) == 1
+        assert "--k" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_run_variant_rejects_k_below_1(self, workspace, k):
+        tmp_path, _, data = workspace
+        with pytest.raises(DataError, match="k must be at least 1"):
+            run_variant(parse_dataset(data), Variant.FEW_SHOT, build_backend(
+                load_settings(tmp_path / "config.yaml"), "echo"), tmp_path / "runs", k=k)
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("damage", ["malformed", "not an object", "unknown key",
                                         "missing key"])
     def test_eval_of_damaged_manifest_is_data_error(self, workspace, capsys, damage):
@@ -305,6 +320,12 @@ class TestAnalyzeAndDisagreements:
         easy = json.loads((tmp_path / "analysis" / "easy_sets.json").read_text())
         assert len(easy["easy_1"]) == 3
         assert len(tokenized) == len(set(tokenized)) == 3
+
+    def test_top_verbs_below_1_is_usage_error(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert invoke(config, "analyze", "--runs", "a,b", "--corpus", data,
+                      "--top-verbs", 0) == 1
+        assert "--top-verbs" in capsys.readouterr().err
 
     def test_analyze_needs_two_runs(self, workspace, capsys):
         tmp_path, config, data = workspace
@@ -564,9 +585,17 @@ def _top(**changes):
     (_echo(rules=[{"response": "x"}]), ["'echo'", "rules[0]", "pattern"]),
     (_echo(rules=[{"pattern": "[", "response": "x"}]), ["'echo'", "rules[0].pattern"]),
     (_top(runs_dir=5), ["runs_dir"]),
+    (_echo(temperature=True), ["'echo'", "temperature"]),
+    (_limit(max_in_flight=True), ["'echo'", "max_in_flight"]),
+    (_limit(retry_budget=False), ["'echo'", "retry_budget"]),
+    (_limit(requests_per_minute=True), ["'echo'", "requests_per_minute"]),
+    (_limit(max_in_flight=2.7), ["'echo'", "max_in_flight"]),
+    (_echo(max_output_tokens=12.9), ["'echo'", "max_output_tokens"]),
+    (_limit(max_in_flight=float("inf")), ["'echo'", "max_in_flight"]),
 ], ids=["rpm '60'", "rpm 0", "rpm -1", "max_in_flight many", "temperature hot",
         "backends a list", "limits a list", "rule without pattern", "rule pattern not a regex",
-        "runs_dir 5"])
+        "runs_dir 5", "temperature yes", "max_in_flight true", "retry_budget false",
+        "rpm true", "max_in_flight 2.7", "max_output_tokens 12.9", "max_in_flight inf"])
 def test_a_malformed_config_value_exits_2(tmp_path, capsys, change, names):
     doc = valid_config()
     change(doc)
@@ -622,7 +651,18 @@ class TestConfig:
     def test_relative_dirs_resolve_against_config(self, workspace):
         tmp_path, config, _ = workspace
         settings = load_settings(config)
-        assert settings.resolve(settings.runs_dir) == tmp_path / "runs"
+        assert settings.runs_dir == tmp_path / "runs"
+
+    def test_directories_resolve_once_at_load(self, tmp_path):
+        config = tmp_path / "conf" / "c.yaml"
+        config.parent.mkdir()
+        elsewhere = tmp_path / "elsewhere"
+        config.write_text(f"reports_dir: {elsewhere}\ncache_dir: null\n")
+        settings = load_settings(config)
+        assert settings.runs_dir == tmp_path / "conf" / "runs"  # the default
+        assert settings.reports_dir == elsewhere  # absolute: kept as it is
+        assert settings.cache_dir == tmp_path / "conf" / "cache"
+        assert settings.template_dir is None and settings.lexicon_dir is None
 
     def test_http_backend_requires_endpoint(self, tmp_path):
         config = tmp_path / "c.yaml"

@@ -147,6 +147,10 @@ class TestLexiconLoading:
         assert lex.tense["suggested"] == "past"
         assert lex.digest
 
+    def test_bundled_digest_is_pinned(self):
+        # the golden easy_sets.json records this digest
+        assert load_lexicons().digest == "45c4585109b0"
+
     def test_irregulars_beat_regular_generation(self):
         lex = load_lexicons()
         assert lex.inflections["said"] == "say"
@@ -336,7 +340,7 @@ class TestAggregates:
         expected_pairs = sum(
             len(profiles[i].categories()) * (len(profiles[i].categories()) - 1) // 2
             for i in ids)
-        assert pair_total == expected_pairs  # all pairs fit within top_k here
+        assert pair_total == expected_pairs  # all pairs fit within TOP_PAIRS here
 
     def test_lower_median_convention(self):
         corpus = build_corpus([("We could go.", "K1", 1),

@@ -9,7 +9,8 @@ import delib.templates
 from delib.errors import DataError
 from delib.gateway import ResponseCache, mock_backend
 from delib.prompting import VARIANTS, Variant
-from delib.runner import (GRID_ORDER, _record_line, compute_run_id, load_manifest,
+from delib.parsing import dumps_canonical
+from delib.runner import (GRID_ORDER, compute_run_id, load_manifest,
                           load_predictions, load_records, run_grid,
                           run_variant)
 from delib.templates import TemplateSet
@@ -358,7 +359,7 @@ class TestRecordFiles:
                 {"role": "CRITIC", "label": 1, "assessment": "flawed", "issues": "ß≠ss",
                  "failure": None, "latency_ms": 0}]},
         }
-        line = _record_line(record)
+        line = dumps_canonical(record) + "\n"  # how run_variant writes a record
         assert line == json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
         assert line == (
             '{"final_label": 1, "run_id": "cot_multi_agent-0a1b", "sentence_id": "3f2a9c", '
