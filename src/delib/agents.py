@@ -143,7 +143,7 @@ def _agent_step(role: str, bundle: PromptBundle, repair_policy: str) -> Steps:
         output["step1"] = pred.step1
         output["step2"] = pred.step2
     output.update(pred.extra)
-    raw_digest = hashlib.sha256(pred.raw.encode()).hexdigest()[:16]
+    raw_digest = hashlib.sha256(outcome.completion.text.encode()).hexdigest()[:16]
     return AgentStep(role=role, prompt_digest=bundle.digest(), output=output,
                      raw_digest=raw_digest, label=pred.label), pred
 

@@ -17,7 +17,7 @@ from . import evaluation, indicators, runner
 from .agents import AgentTrace, analyze_disagreements
 from .config import build_backend, load_settings
 from .errors import DataError, DelibError
-from .prompting import Variant
+from .prompting import VARIANTS, Variant
 from .templates import TemplateSet
 
 
@@ -81,20 +81,20 @@ def run(settings, variant_name, backend_name, corpus_path, batches, k, seed,
         batches=batches.split(",") if batches else None, k=k, seed=seed,
         repair_policy="STRICT" if strict_schema else "LENIENT",
         templates=TemplateSet(settings.template_dir),
-        zero_shot_run_dir=_find_run_dir(settings, zero_shot_run) if zero_shot_run else None)
+        zero_shot_run_dir=_load_run(settings, zero_shot_run)[0] if zero_shot_run else None)
     click.echo(f"run {manifest.run_id}: {manifest.status}, "
                f"{manifest.n_records} records, "
                f"{manifest.schema_failures} schema failures")
 
 
-def _find_run_dir(settings, run_id: str) -> Path:
-    direct = Path(run_id)
-    if direct.is_dir():
-        return direct
-    candidate = settings.runs_dir / run_id
-    if candidate.is_dir():
-        return candidate
-    raise DataError(f"run not found: {run_id}")
+def _load_run(settings, run_id: str) -> tuple[Path, runner.RunManifest]:
+    """The directory of a run id (or directory) and its manifest."""
+    run_dir = Path(run_id)
+    if not run_dir.is_dir():
+        run_dir = settings.runs_dir / run_id
+        if not run_dir.is_dir():
+            raise DataError(f"run not found: {run_id}")
+    return run_dir, runner.load_manifest(run_dir)
 
 
 @cli.command("eval")
@@ -106,8 +106,7 @@ def _find_run_dir(settings, run_id: str) -> Path:
 def eval_cmd(settings, run_id, corpus_path, per_batch, failures_as_negative):
     """Metrics for one run (combined, optionally per batch)."""
     corpus = corpus_mod.parse_dataset(corpus_path)
-    run_dir = _find_run_dir(settings, run_id)
-    manifest = runner.load_manifest(run_dir)
+    run_dir, manifest = _load_run(settings, run_id)
     corpus = corpus_mod.filter_batches(corpus, manifest.batches)
     predictions = runner.load_predictions(run_dir)
     scopes = ["ALL"] + (manifest.batches if per_batch else [])
@@ -139,8 +138,7 @@ def compare(settings, run_ids, corpus_path, out_dir):
     groups: dict[str, str] = {}
     per_batch: dict[str, list[evaluation.MetricsReport]] = {}
     for run_id in run_ids.split(","):
-        run_dir = _find_run_dir(settings, run_id.strip())
-        manifest = runner.load_manifest(run_dir)
+        run_dir, manifest = _load_run(settings, run_id.strip())
         scoped = corpus_mod.filter_batches(corpus, manifest.batches)
         predictions = runner.load_predictions(run_dir)
         label = f"{manifest.variant} [{manifest.run_id}]"
@@ -172,10 +170,8 @@ def compare(settings, run_ids, corpus_path, out_dir):
 def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
     """Easy sets and the linguistic indicator tables."""
     corpus = corpus_mod.parse_dataset(corpus_path)
-    run_predictions = []
-    for run_id in run_ids.split(","):
-        run_predictions.append(
-            runner.load_predictions(_find_run_dir(settings, run_id.strip())))
+    run_predictions = [runner.load_predictions(_load_run(settings, run_id.strip())[0])
+                       for run_id in run_ids.split(",")]
     lexicons = indicators.load_lexicons(settings.lexicon_dir)
     easy = indicators.build_easy_sets(run_predictions, corpus)
     by_id = corpus.by_id()
@@ -239,7 +235,11 @@ def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
 def disagreements(settings, run_id, corpus_path):
     """Flip analysis over predictor/critic disagreements."""
     corpus = corpus_mod.parse_dataset(corpus_path)
-    run_dir = _find_run_dir(settings, run_id)
+    run_dir, manifest = _load_run(settings, run_id)
+    spec = VARIANTS.get(manifest.variant)
+    if spec is None or spec.agents != "critic":
+        raise DataError(f"run {run_id} holds no agent traces of a predictor-critic-judge "
+                        f"run: it is a {manifest.variant} run")
     records = runner.load_records(run_dir)
     traces = []
     for sentence_id, rec in records.items():

@@ -44,9 +44,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def __iter__(self):
-        return iter(self.sentences)
-
     def by_id(self) -> dict[str, Sentence]:
         return {s.id: s for s in self.sentences}
 

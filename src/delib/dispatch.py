@@ -1,6 +1,6 @@
 """Order-preserving concurrent dispatch of step generators.
 
-run_window() serves a stream of step generators (see gateway.drive) on the
+run_window() serves a stream of step generators (see gateway.Steps) on the
 calling thread, keeping a window of them in progress. Cache hits and the
 pipeline's own work run inline. A cache miss becomes a call, sent one
 attempt at a time by a pool of max_in_flight threads; a thread that comes
@@ -25,7 +25,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
-from .gateway import ChatBackend, CompletionResult, Message, Steps, _Transient, drive
+from .gateway import ChatBackend, CompletionResult, Message, Steps, _Transient
 
 #: Generators in progress per backend call allowed in flight.
 WINDOW_PER_CALL = 8
@@ -100,9 +100,6 @@ class _Window:
                     if steps is _END:
                         more = False
                         break
-                    if not window and not self.inflight and not self.backend.slow:
-                        commit(drive(steps, self.backend.complete))
-                        continue
                     task = _Task(steps, self.admitted)
                     self.admitted += 1
                     window.append(task)
@@ -142,22 +139,19 @@ class _Window:
     def _serve(self, task: _Task, messages: Sequence[Message]):
         """The completion now, or _BLOCKED after the task is queued on a call."""
         backend = self.backend
-        slow = backend.slow
-        key = None
-        if slow or self.inflight:
-            key = backend.key(messages)
-            call = self.inflight.get(key)
-            if call is None and slow and backend.cache.get(backend.config.name, key) is None:
-                if self.pool is None:
-                    self.pool = ThreadPoolExecutor(backend.config.limits.max_in_flight,
-                                                   thread_name_prefix="delib-dispatch")
-                call = self.inflight[key] = _Call(key, messages, task.order)
-                with self.lock:
-                    self._send(call)
-            if call is not None:
-                call.tasks.append((task, messages))
-                return _BLOCKED
-        return backend.complete(messages, key)
+        key = backend.key(messages)
+        call = self.inflight.get(key)
+        if call is None:
+            if not backend.slow or backend.cache.get(backend.config.name, key) is not None:
+                return backend.complete(messages, key)
+            if self.pool is None:
+                self.pool = ThreadPoolExecutor(backend.config.limits.max_in_flight,
+                                               thread_name_prefix="delib-dispatch")
+            call = self.inflight[key] = _Call(key, messages, task.order)
+            with self.lock:
+                self._send(call)
+        call.tasks.append((task, messages))
+        return _BLOCKED
 
     def _send(self, call: _Call) -> None:
         """Queue the call's next attempt; the caller holds self.lock."""

@@ -27,7 +27,6 @@ class SchemaError(DelibError):
 
     exit_code = 4
 
-    def __init__(self, reason, raw=""):
+    def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
-        self.raw = raw

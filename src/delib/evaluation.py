@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .corpus import Corpus, csv_text
 from .errors import DataError
@@ -96,27 +96,13 @@ def _tally_batches(
 
 
 def _pooled(counts: dict[str, list[int]], gaps: dict[str, tuple[int, str]],
-            batches: Iterable[str]) -> ConfusionMatrix:
-    """The matrix of the given batches from their tallies; DataError names
-    their first sentence without a prediction in corpus order."""
-    batches = [b for b in batches if b in counts]
+            batches: Collection[str]) -> ConfusionMatrix:
+    """The matrix of the given tallied batches; DataError names their first
+    sentence without a prediction in corpus order."""
     gap = min((gaps[b] for b in batches if b in gaps), default=None)
     if gap is not None:
         raise DataError(f"no prediction for sentence {gap[1]}")
     return ConfusionMatrix(*map(sum, zip(*(counts[b] for b in batches))))
-
-
-def confusion(
-    predictions: Mapping[str, int | None],
-    corpus: Corpus,
-    batches: Iterable[str] | None = None,
-    failures_as_negative: bool = False,
-) -> ConfusionMatrix:
-    """Tally gold vs predicted labels over the (optionally batch-filtered)
-    corpus. None predictions are schema failures.
-    """
-    counts, gaps = _tally_batches(predictions, corpus, failures_as_negative)
-    return _pooled(counts, gaps, counts if batches is None else set(batches))
 
 
 def metrics(matrix: ConfusionMatrix, scope: str = "ALL") -> MetricsReport:

@@ -34,6 +34,13 @@ class DecodingParams:
     max_output_tokens: int = 1024
     response_format_hint: str | None = None
 
+    def __post_init__(self):
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be a finite number >= 0, "
+                              f"got {self.temperature!r}")
+        if self.max_output_tokens < 1:
+            raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens!r}")
+
 
 @dataclass(frozen=True)
 class Limits:

@@ -11,7 +11,6 @@ documented approximation.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -167,12 +166,6 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
                     categories=_resolve_categories(sets, inflections), digest=digest)
 
 
-@functools.cache
-def default_lexicons() -> Lexicons:
-    """The bundled lexicons, loaded on first use."""
-    return load_lexicons()
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens with contraction splitting.
 
@@ -222,14 +215,13 @@ class IndicatorProfile:
         return frozenset(c for c, tokens in self.hits.items() if tokens)
 
 
-def extract_indicators(sentence: Sentence, lexicons: Lexicons | None = None) -> IndicatorProfile:
+def extract_indicators(sentence: Sentence, lexicons: Lexicons) -> IndicatorProfile:
     """Per-category indicator hits for one sentence.
 
     Each matched token counts toward exactly one category, resolved by the
     fixed CATEGORY_ORDER priority. Repeated tokens of one category all
     count toward total_count.
     """
-    lexicons = lexicons or default_lexicons()
     hits: dict[str, list[str]] = {c: [] for c in CATEGORY_ORDER}
     lemmas = set()
     tokens = tokenize(sentence.text)

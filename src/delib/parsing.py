@@ -54,7 +54,6 @@ class ParsedPrediction:
     step1: str | None = None
     step2: str | None = None
     extra: dict = field(default_factory=dict)
-    raw: str = ""
     repairs: list[str] = field(default_factory=list)
 
 
@@ -137,25 +136,24 @@ def parse_prediction(raw: str, expected_schema: str, repair_policy: str = LENIEN
             if obj is None:
                 candidate = _first_balanced_object(text)
                 if candidate is not None:
-                    if "object-extract" not in repairs:
-                        repairs.append("object-extract")
+                    repairs.append("object-extract")
                     try:
                         obj = json.loads(candidate)
                     except json.JSONDecodeError:
                         obj = None
     if obj is None:
-        raise SchemaError("no parsable JSON object in response", raw=raw)
+        raise SchemaError("no parsable JSON object in response")
     if not isinstance(obj, dict):
-        raise SchemaError(f"expected a JSON object, got {type(obj).__name__}", raw=raw)
+        raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
 
     required = SCHEMA_FIELDS[expected_schema]
     missing = [f for f in required if f not in obj]
     if missing:
-        raise SchemaError(f"missing required fields: {', '.join(missing)}", raw=raw)
+        raise SchemaError(f"missing required fields: {', '.join(missing)}")
     if len(obj) > len(required):
         extra = {k: v for k, v in obj.items() if k not in required}
         if not lenient:
-            raise SchemaError(f"unexpected fields under STRICT: {sorted(extra)}", raw=raw)
+            raise SchemaError(f"unexpected fields under STRICT: {sorted(extra)}")
     else:
         extra = {}
 
@@ -165,18 +163,18 @@ def parse_prediction(raw: str, expected_schema: str, repair_policy: str = LENIEN
     if expected_schema == "COT":
         step1, step2 = str(obj["step1"]), str(obj["step2"])
         if not step1.strip() or not step2.strip():
-            raise SchemaError("empty step1/step2 in COT response", raw=raw)
+            raise SchemaError("empty step1/step2 in COT response")
     elif expected_schema == "CRITIC":
         assessment = str(obj["assessment"]).strip().lower()
         if assessment not in ("sound", "flawed"):
-            raise SchemaError(f"invalid assessment: {obj['assessment']!r}", raw=raw)
+            raise SchemaError(f"invalid assessment: {obj['assessment']!r}")
         extra["assessment"] = assessment
         extra["issues"] = str(obj["issues"])
     elif expected_schema == "JUDGE":
         rationale = str(obj["rationale"])
         if not rationale.strip():
-            raise SchemaError("empty judge rationale", raw=raw)
+            raise SchemaError("empty judge rationale")
         extra["rationale"] = rationale
 
     return ParsedPrediction(label=label, step1=step1, step2=step2,
-                            extra=extra, raw=raw, repairs=repairs)
+                            extra=extra, repairs=repairs)

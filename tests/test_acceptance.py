@@ -15,10 +15,10 @@ import pytest
 
 from delib.agents import analyze_disagreements, run_majority_vote
 from delib.corpus import corpus_stats, filter_batches, parse_dataset
-from delib.evaluation import (ConfusionMatrix, confusion, evaluate_run,
+from delib.evaluation import (ConfusionMatrix, evaluate_run,
                               f_beta, metrics, metrics_csv, mcc_value)
 from delib.gateway import ResponseCache, mock_backend
-from delib.indicators import build_easy_sets, extract_indicators
+from delib.indicators import build_easy_sets, extract_indicators, load_lexicons
 from delib.prompting import Variant
 from delib.runner import run_grid, run_variant
 
@@ -76,13 +76,13 @@ class TestAcceptance:
         sentences: 0, 1, 2, and 5. Exact match."""
         expected = [(HCFA, 0), (OMB, 1), (ZONES, 2), (NEGOTIATIONS, 5)]
         for text, count in expected:
-            profile = extract_indicators(make_sentence(text))
+            profile = extract_indicators(make_sentence(text), load_lexicons())
             assert profile.unique_count == count, text[:40]
         ok("indicator examples: unique counts 0/1/2/5 exact")
 
     def test_metric_properties(self):
         """1,000 random matrices: MCC bounded; perfect matrices score 1
-        everywhere; P=R forces F1=F2=P; confusion equals a brute-force
+        everywhere; P=R forces F1=F2=P; the matrix equals a brute-force
         oracle up to n=10,000."""
         rng = random.Random(42)
         for _ in range(1000):
@@ -109,7 +109,7 @@ class TestAcceptance:
             preds = {s.id: rng.choice([0, 1, None]) for s in corpus.sentences}
             oracle = brute_force_matrix(
                 [(s.gold_label, preds[s.id]) for s in corpus.sentences])
-            m = confusion(preds, corpus)
+            m = evaluate_run(preds, corpus)[0].matrix
             assert (m.tp, m.fp, m.fn, m.tn, m.n_schema_failures) == (
                 oracle["tp"], oracle["fp"], oracle["fn"], oracle["tn"],
                 oracle["fail"])

@@ -25,7 +25,7 @@ def workspace(tmp_path):
 
 
 def make_workspace(tmp_path):
-    """Config file, mock backend answering from the prompt, and a corpus."""
+    """Config file, mock backends answering from the prompt, and a corpus."""
     config = tmp_path / "config.yaml"
     config.write_text(
         """
@@ -40,6 +40,12 @@ backends:
         response: {deliberative: 1}
       - pattern: '.'
         response: {deliberative: 0}
+  critic:
+    type: mock
+    rules:
+      - pattern: 'You are a critic'
+        response: {assessment: sound, issues: none, suggestion: 1}
+    default_response: {step1: a, step2: b, deliberative: 1}
 cache_dir: cache
 runs_dir: runs
 reports_dir: reports
@@ -346,15 +352,32 @@ class TestAnalyzeAndDisagreements:
 
     def test_disagreements_on_multi_agent_run(self, workspace, capsys):
         tmp_path, config, data = workspace
-        assert invoke(config, "run", "--variant", "MULTI_AGENT",
-                      "--backend", "offline", "--corpus", data) == 0
-        run_id = [p.name for p in (tmp_path / "runs").iterdir()
-                  if p.name.startswith("multi_agent-")][0]
+        assert run_cot_multi_agent(config, data) == 0
+        run_id = only_run_dir(tmp_path).name
         capsys.readouterr()
         assert invoke(config, "disagreements", "--run", run_id,
                       "--corpus", data) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["n_disagreements"] == 0  # constant mock always agrees
+
+    def test_disagreements_needs_a_predictor_critic_judge_run(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert invoke(config, "run", "--variant", "MULTI_AGENT",
+                      "--backend", "offline", "--corpus", data) == 0
+        capsys.readouterr()
+        assert invoke(config, "disagreements", "--run", only_run_dir(tmp_path).name,
+                      "--corpus", data) == 4
+        assert "is a MULTI_AGENT run" in capsys.readouterr().err
+
+    def test_analyze_of_a_directory_that_is_not_a_run(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert run_zero_shot(config, data) == 0
+        not_a_run = tmp_path / "not_a_run"
+        not_a_run.mkdir()
+        capsys.readouterr()
+        assert invoke(config, "analyze", "--runs", f"{only_run_dir(tmp_path)},{not_a_run}",
+                      "--corpus", data) == 4
+        assert f"no manifest in {not_a_run}" in capsys.readouterr().err
 
 
 def run_zero_shot(config, data):
@@ -362,8 +385,9 @@ def run_zero_shot(config, data):
                   "--corpus", data)
 
 
-def run_multi_agent(config, data):
-    return invoke(config, "run", "--variant", "MULTI_AGENT", "--backend", "offline",
+def run_cot_multi_agent(config, data):
+    """A predictor-critic-judge run whose critic always agrees."""
+    return invoke(config, "run", "--variant", "COT_MULTI_AGENT", "--backend", "critic",
                   "--corpus", data)
 
 
@@ -393,7 +417,7 @@ class TestDamagedArtifacts:
                                        "a step without prompt_digest"])
     def test_disagreements_over_a_damaged_trace(self, workspace, capsys, trace):
         tmp_path, config, data = workspace
-        assert run_multi_agent(config, data) == 0
+        assert run_cot_multi_agent(config, data) == 0
         records = only_run_dir(tmp_path) / "records.jsonl"
         lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
         record = json.loads(lines[1])
@@ -472,12 +496,12 @@ class TestDamagedArtifacts:
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
-    """A workspace with a finished ZERO_SHOT run, a finished MULTI_AGENT run
-    and their disk cache."""
+    """A workspace with a finished ZERO_SHOT run, a finished COT_MULTI_AGENT
+    run and their disk cache."""
     root = tmp_path_factory.mktemp("finished")
     make_workspace(root)
     assert run_zero_shot(root / "config.yaml", root / "corpus.jsonl") == 0
-    assert run_multi_agent(root / "config.yaml", root / "corpus.jsonl") == 0
+    assert run_cot_multi_agent(root / "config.yaml", root / "corpus.jsonl") == 0
     return root
 
 
@@ -497,7 +521,7 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
         root = Path(scratch) / "w"
         shutil.copytree(finished_run, root)
         run_dir = data.draw(st.sampled_from(sorted((root / "runs").iterdir())))
-        (multi_agent_dir,) = (root / "runs").glob("multi_agent-*")
+        (multi_agent_dir,) = (root / "runs").glob("cot_multi_agent-*")
         if target == "cache":
             path = data.draw(st.sampled_from(sorted((root / "cache").rglob("*.json"))))
         else:
@@ -532,8 +556,8 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
                         "--corpus", corpus),
                  run_zero_shot(config, corpus),
                  run_zero_shot(fresh, corpus),
-                 run_multi_agent(config, corpus),
-                 run_multi_agent(fresh, corpus)]
+                 run_cot_multi_agent(config, corpus),
+                 run_cot_multi_agent(fresh, corpus)]
         capsys.readouterr()
         assert all(code in range(5) for code in codes), codes
 
@@ -592,10 +616,17 @@ def _top(**changes):
     (_limit(max_in_flight=2.7), ["'echo'", "max_in_flight"]),
     (_echo(max_output_tokens=12.9), ["'echo'", "max_output_tokens"]),
     (_limit(max_in_flight=float("inf")), ["'echo'", "max_in_flight"]),
+    (_echo(temperature=float("nan")), ["'echo'", "temperature"]),
+    (_echo(temperature=float("inf")), ["'echo'", "temperature"]),
+    (_echo(temperature=-1), ["'echo'", "temperature"]),
+    (_echo(max_output_tokens=0), ["'echo'", "max_output_tokens"]),
+    (_echo(max_output_tokens=-5), ["'echo'", "max_output_tokens"]),
 ], ids=["rpm '60'", "rpm 0", "rpm -1", "max_in_flight many", "temperature hot",
         "backends a list", "limits a list", "rule without pattern", "rule pattern not a regex",
         "runs_dir 5", "temperature yes", "max_in_flight true", "retry_budget false",
-        "rpm true", "max_in_flight 2.7", "max_output_tokens 12.9", "max_in_flight inf"])
+        "rpm true", "max_in_flight 2.7", "max_output_tokens 12.9", "max_in_flight inf",
+        "temperature nan", "temperature inf", "temperature -1", "max_output_tokens 0",
+        "max_output_tokens -5"])
 def test_a_malformed_config_value_exits_2(tmp_path, capsys, change, names):
     doc = valid_config()
     change(doc)

@@ -232,7 +232,7 @@ class TestParseDataset:
         path.write_text("\n".join(json.dumps(r) for r in rows))
         corpus = parse_dataset(path)
         assert len(corpus) == 3
-        assert sum(s.gold_label for s in corpus) == 2
+        assert sum(s.gold_label for s in corpus.sentences) == 2
 
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -272,8 +272,8 @@ class TestParseDataset:
         path = tmp_path / "c.csv"
         path.write_text("sentence,batch,label\nhello there,K1,1\nbye now,K2,0\n")
         corpus = parse_dataset(path, format="csv")
-        assert [s.batch for s in corpus] == ["K1", "K2"]
-        assert [s.gold_label for s in corpus] == [1, 0]
+        assert [s.batch for s in corpus.sentences] == ["K1", "K2"]
+        assert [s.gold_label for s in corpus.sentences] == [1, 0]
 
     def test_tsv(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -293,7 +293,7 @@ class TestParseDataset:
         path.write_text(row * 3)
         corpus = parse_dataset(path)
         assert len(corpus) == 3
-        assert len({s.id for s in corpus}) == 3
+        assert len({s.id for s in corpus.sentences}) == 3
 
 
 class TestFilterBatches:
@@ -303,7 +303,7 @@ class TestFilterBatches:
 
     def test_subset_preserves_order(self, small_corpus):
         out = filter_batches(small_corpus, {"K2"})
-        assert [s.batch for s in out] == ["K2", "K2"]
+        assert [s.batch for s in out.sentences] == ["K2", "K2"]
 
     def test_empty_include_errors(self, small_corpus):
         with pytest.raises(DataError):
@@ -323,7 +323,7 @@ class TestFilterBatches:
     def test_full_corpus_counts(self, full_corpus):
         kept = filter_batches(full_corpus, KEPT_BATCHES)
         assert len(kept) == TOTAL_KEPT
-        assert sum(s.gold_label for s in kept) == 1291
+        assert sum(s.gold_label for s in kept.sentences) == 1291
 
 
 class TestCorpusStats:

@@ -18,9 +18,9 @@ from delib.cli import main
 from delib.corpus import Corpus, Sentence, sentence_id
 from delib.errors import TransportError
 from delib.dispatch import run_window
-from delib.gateway import (RECENT_CALLS, BackendConfig, ChatBackend, HttpTransport,
-                           Limits, MockRule, ResponseCache, ScriptedTransport,
-                           _Transient, mock_backend)
+from delib.gateway import (RECENT_CALLS, SLOW_CALL_S, BackendConfig, ChatBackend,
+                           HttpTransport, Limits, MockRule, ResponseCache,
+                           ScriptedTransport, _Transient, drive, mock_backend)
 from delib.prompting import Variant
 from delib.runner import run_grid, run_variant
 
@@ -357,6 +357,70 @@ def wait_until(condition, timeout=2.0):
             return False
         time.sleep(0.001)
     return True
+
+
+class PhasedTransport:
+    """Answers each prompt with itself: at once, or after SLOW_CALL_S * 4
+    for a prompt that starts with "slow". Logs the thread of each call."""
+
+    def __init__(self):
+        self.threads = []
+        self._lock = threading.Lock()
+
+    def __call__(self, messages):
+        prompt = messages[-1]["content"]
+        if prompt.startswith("slow"):
+            time.sleep(SLOW_CALL_S * 4)
+        with self._lock:
+            self.threads.append(threading.current_thread().name)
+        return 200, {"choices": [{"message": {"content": prompt}}]}
+
+
+def asking_cached(*prompts):
+    """Steps that ask for each prompt in turn; returns (answer, cached) pairs."""
+    answers = []
+    for prompt in prompts:
+        completion = yield [{"role": "user", "content": prompt}]
+        answers.append((completion.text, completion.cached))
+    return answers
+
+
+def test_window_turns_slow_and_fast_again_as_one_at_a_time():
+    """Fast calls, then slow ones, then fast ones again, with prompts that
+    repeat within and across the phases: the window starts its pool once the
+    backend turns slow and serves inline again once it turns fast, and it
+    commits what serving each generator through drive() commits, with the
+    same cached flags and the same transport calls.
+
+    A prompt that several generators ask is the first request of each, or a
+    later request of one that an earlier generator asked first: the first
+    generator to ask then gets the call, as one at a time."""
+    def stream():
+        for i in range(20):
+            yield asking_cached(f"fast{i % 8}", f"fast-own{i}", f"fast{i % 8}")
+        for i in range(30):
+            yield asking_cached(f"slow{i % 6}", f"slow-own{i}", f"fast{i % 8}")
+        for i in range(40):
+            yield asking_cached(f"back{i % 5}", f"back-own{i}", f"slow{i % 6}")
+
+    def backend():
+        return ChatBackend(BackendConfig(name="phased", model="m",
+                                         limits=Limits(max_in_flight=2)),
+                           transport=PhasedTransport(), sleep=lambda _t: None,
+                           clock=lambda: 0.0)
+
+    serial = backend()
+    expected = [drive(steps, serial.complete) for steps in stream()]
+    windowed = backend()
+    committed = []
+    run_window(windowed, stream(), committed.append)
+    assert committed == expected
+    assert len(windowed.transport.threads) == len(serial.transport.threads)
+    here = threading.current_thread().name
+    threads = windowed.transport.threads
+    pooled = [i for i, name in enumerate(threads) if name.startswith("delib-dispatch")]
+    assert threads[0] == here and pooled, threads
+    assert here in threads[pooled[-1]:], threads
 
 
 class TestWindowScheduling:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from delib.errors import DataError
 from delib.evaluation import (ConfusionMatrix, compare_runs, comparison_csv,
-                              comparison_text, confusion, evaluate_run, f_beta,
+                              comparison_text, evaluate_run, f_beta,
                               metrics, metrics_csv, metrics_text, mcc_value,
                               per_batch_series_csv)
 
@@ -123,7 +123,7 @@ class TestConfusion:
         corpus, preds = self._corpus_and_preds(n, seed)
         oracle = brute_force_matrix(
             [(s.gold_label, preds[s.id]) for s in corpus.sentences])
-        m = confusion(preds, corpus)
+        m = evaluate_run(preds, corpus)[0].matrix
         assert (m.tp, m.fp, m.fn, m.tn, m.n_schema_failures) == (
             oracle["tp"], oracle["fp"], oracle["fn"], oracle["tn"], oracle["fail"])
 
@@ -132,28 +132,28 @@ class TestConfusion:
         oracle = brute_force_matrix(
             [(s.gold_label, preds[s.id]) for s in corpus.sentences
              if s.batch == "K2"])
-        m = confusion(preds, corpus, batches=["K2"])
+        m = evaluate_run(preds, corpus, ["K2"])[0].matrix
         assert (m.tp, m.fp, m.fn, m.tn) == (
             oracle["tp"], oracle["fp"], oracle["fn"], oracle["tn"])
 
     def test_failures_as_negative(self):
         corpus = build_corpus([("a", "K1", 1), ("b", "K1", 0)])
         preds = {s.id: None for s in corpus.sentences}
-        m = confusion(preds, corpus, failures_as_negative=True)
+        m = evaluate_run(preds, corpus, failures_as_negative=True)[0].matrix
         assert (m.fn, m.tn, m.n_schema_failures) == (1, 1, 0)
-        m = confusion(preds, corpus)
+        m = evaluate_run(preds, corpus)[0].matrix
         assert (m.n_scored, m.n_schema_failures) == (0, 2)
 
     def test_unknown_prediction_id(self):
         corpus = build_corpus([("a", "K1", 1)])
         preds = {corpus.sentences[0].id: 1, "bogus": 0}
         with pytest.raises(DataError, match="unknown sentence ids"):
-            confusion(preds, corpus)
+            evaluate_run(preds, corpus)
 
     def test_missing_prediction(self):
         corpus = build_corpus([("a", "K1", 1), ("b", "K1", 0)])
         with pytest.raises(DataError, match="no prediction"):
-            confusion({corpus.sentences[0].id: 1}, corpus)
+            evaluate_run({corpus.sentences[0].id: 1}, corpus)
 
 
 class TestMetrics:
@@ -271,8 +271,8 @@ class TestProperties:
 
 
 def reference_confusion(predictions, corpus, batches=None, failures_as_negative=False):
-    """confusion as it was before the one-pass tally: a full corpus walk
-    per call."""
+    """The matrix of a scope as evaluate_run built it before the one-pass
+    tally: a full corpus walk per call."""
     known = {s.id for s in corpus.sentences}
     unknown = set(predictions) - known
     if unknown:
@@ -357,21 +357,7 @@ class TestOnePassEvaluation:
             return
         for report in evaluate_run(*args):
             batches = None if report.scope == "ALL" else [report.scope]
-            assert report.matrix == confusion(predictions, corpus, batches, as_negative)
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=_evaluation_case(),
-           batches=st.none() | st.lists(st.sampled_from(["K1", "K2", "K3", "R4", "K9"]),
-                                        max_size=3))
-    def test_confusion_matches_reference(self, case, batches):
-        corpus, predictions, _scopes, as_negative = case
-
-        def outcome(fn):
-            try:
-                return fn(predictions, corpus, batches, as_negative)
-            except DataError as exc:
-                return ("DataError", str(exc))
-        assert outcome(confusion) == outcome(reference_confusion)
+            assert report.matrix == reference_confusion(predictions, corpus, batches, as_negative)
 
     def test_error_texts(self):
         corpus = build_corpus([("a", "K1", 1), ("b", "K2", 0), ("c", "K2", 1)])

@@ -86,8 +86,8 @@ class TestCacheKeyFormat:
 
     @settings(max_examples=300, deadline=None)
     @given(name=_text, model=_text,
-           temperature=st.floats(allow_nan=False, allow_infinity=False),
-           max_tokens=st.integers(0, 10 ** 6),
+           temperature=st.floats(min_value=0, allow_infinity=False),
+           max_tokens=st.integers(1, 10 ** 6),
            hint=st.none() | _text,
            conversations=st.lists(st.lists(_message, max_size=4), min_size=1, max_size=4))
     def test_matches_reference(self, name, model, temperature, max_tokens, hint,

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from delib.errors import ConfigError, DataError
 from delib.indicators import (CATEGORY_ORDER, build_easy_sets,
                               cooccurrence_csv, cooccurrence_stats,
-                              default_lexicons,
                               extract_indicators, load_lexicons,
                               occurrence_csv, occurrence_table, pairs_csv,
                               regular_forms, tokenize, verb_frequency, verbs_csv)
 
 from conftest import build_corpus, make_sentence
+
+LEXICONS = load_lexicons()
 
 HCFA = ("Give all primary civil authority to HCFA, but establish a referral "
         "process in an MOU for both chains and individual facilities.")
@@ -25,11 +26,11 @@ NEGOTIATIONS = ("I don't know where things stand in the negotiations over "
 
 
 def profile(text):
-    return extract_indicators(make_sentence(text))
+    return extract_indicators(make_sentence(text), LEXICONS)
 
 
 def profiles_of(corpus):
-    return {s.id: extract_indicators(s) for s in corpus.sentences}
+    return {s.id: extract_indicators(s, LEXICONS) for s in corpus.sentences}
 
 
 class TestTokenize:
@@ -232,12 +233,12 @@ class TestRobustness:
     @pytest.mark.parametrize("variant", [
         OMB.upper(), OMB.lower(), f"  {OMB} ", OMB + "!!!", f'"{OMB}"'])
     def test_case_and_punctuation_invariance(self, variant):
-        assert extract_indicators(make_sentence(variant)).unique_count == 1
+        assert extract_indicators(make_sentence(variant), LEXICONS).unique_count == 1
 
     @given(st.text(alphabet="abcdefghij XYZ.,;!?'\"0123456789", max_size=80))
     @settings(max_examples=80, deadline=None)
     def test_never_crashes(self, text):
-        p = extract_indicators(make_sentence(text or "x"))
+        p = extract_indicators(make_sentence(text or "x"), LEXICONS)
         assert 0 <= p.unique_count <= len(CATEGORY_ORDER)
         assert p.total_count >= p.unique_count
 
@@ -306,7 +307,7 @@ class TestAggregates:
             ("Budget overview for the quarter.", "K1", 0),       # none
         ]
         corpus = build_corpus(rows)
-        profiles = {s.id: extract_indicators(s) for s in corpus.sentences}
+        profiles = {s.id: extract_indicators(s, LEXICONS) for s in corpus.sentences}
         return corpus, profiles
 
     def test_occurrence_table_brute_force(self):
@@ -345,7 +346,7 @@ class TestAggregates:
     def test_lower_median_convention(self):
         corpus = build_corpus([("We could go.", "K1", 1),
                                ("Nothing here.", "K1", 0)])
-        profiles = {s.id: extract_indicators(s) for s in corpus.sentences}
+        profiles = {s.id: extract_indicators(s, LEXICONS) for s in corpus.sentences}
         ids = [s.id for s in corpus.sentences]
         stats = cooccurrence_stats(ids, profiles)
         # counts are {2, 0}: lower median is 0, not 1.0
@@ -399,7 +400,7 @@ class TestAggregates:
             ("I think we should wait.", "K1", 1),
             ("Budget overview for the quarter.", "K1", 0),
         ])
-        profiles = {s.id: extract_indicators(s) for s in corpus.sentences}
+        profiles = {s.id: extract_indicators(s, LEXICONS) for s in corpus.sentences}
         ids = [s.id for s in corpus.sentences]
         assert [sorted(profiles[i].categories()) for i in ids] == [
             ["first_person", "modal"], ["cognitive", "first_person", "modal"], []]

@@ -183,17 +183,17 @@ def reference_parse(raw, expected_schema, repair_policy=LENIENT):
                     except json.JSONDecodeError:
                         obj = None
     if obj is None:
-        raise SchemaError("no parsable JSON object in response", raw=raw)
+        raise SchemaError("no parsable JSON object in response")
     if not isinstance(obj, dict):
-        raise SchemaError(f"expected a JSON object, got {type(obj).__name__}", raw=raw)
+        raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
 
     required = SCHEMA_FIELDS[expected_schema]
     missing = [f for f in required if f not in obj]
     if missing:
-        raise SchemaError(f"missing required fields: {', '.join(missing)}", raw=raw)
+        raise SchemaError(f"missing required fields: {', '.join(missing)}")
     extra_fields = {k: v for k, v in obj.items() if k not in required}
     if extra_fields and not lenient:
-        raise SchemaError(f"unexpected fields under STRICT: {sorted(extra_fields)}", raw=raw)
+        raise SchemaError(f"unexpected fields under STRICT: {sorted(extra_fields)}")
 
     label = _coerce_binary(obj[_LABEL_FIELD[expected_schema]], lenient, repairs)
 
@@ -202,31 +202,30 @@ def reference_parse(raw, expected_schema, repair_policy=LENIENT):
     if expected_schema == "COT":
         step1, step2 = str(obj["step1"]), str(obj["step2"])
         if not step1.strip() or not step2.strip():
-            raise SchemaError("empty step1/step2 in COT response", raw=raw)
+            raise SchemaError("empty step1/step2 in COT response")
     elif expected_schema == "CRITIC":
         assessment = str(obj["assessment"]).strip().lower()
         if assessment not in ("sound", "flawed"):
-            raise SchemaError(f"invalid assessment: {obj['assessment']!r}", raw=raw)
+            raise SchemaError(f"invalid assessment: {obj['assessment']!r}")
         extra["assessment"] = assessment
         extra["issues"] = str(obj["issues"])
     elif expected_schema == "JUDGE":
         rationale = str(obj["rationale"])
         if not rationale.strip():
-            raise SchemaError("empty judge rationale", raw=raw)
+            raise SchemaError("empty judge rationale")
         extra["rationale"] = rationale
 
-    return dict(label=label, step1=step1, step2=step2, extra=extra, raw=raw,
-                repairs=repairs)
+    return dict(label=label, step1=step1, step2=step2, extra=extra, repairs=repairs)
 
 
 def _outcome(parse, raw, schema, policy):
     try:
         result = parse(raw, schema, policy)
     except SchemaError as exc:
-        return ("SchemaError", exc.reason, exc.raw)
+        return ("SchemaError", exc.reason)
     if isinstance(result, ParsedPrediction):
         result = dict(label=result.label, step1=result.step1, step2=result.step2,
-                      extra=result.extra, raw=result.raw, repairs=result.repairs)
+                      extra=result.extra, repairs=result.repairs)
     # type() too: a bool label must not pass for an int one
     return ("ok", type(result["label"]), result)
 
