@@ -9,8 +9,15 @@ flight at once share one call. A transiently failed attempt waits out its
 backoff on a thread of its own, which holds no pool thread and no
 admission token, then rejoins the pending calls at its stream position.
 Results are committed in stream order, each as soon as it and everything
-before it are done, so the output is the same as serving the stream one
-generator at a time.
+before it are done. Every request gets the text that serving the stream one
+generator at a time would give it; only a completion's `cached` flag can
+differ. When a generator asks first for a prompt that an earlier generator
+asks in a later step, the later one may get the call (`cached` False) and
+the earlier one a cache hit, the other way round from one at a time. A
+run's records and manifest counts are those of one-at-a-time serving all
+the same: a record stores `cached` only when its generator makes a single
+request (a single-agent variant), and in such a run no generator makes a
+later request.
 
 Overlap starts only against a slow backend (ChatBackend.slow). Against a
 fast one, handing a call to a thread would cost more than it saves, and

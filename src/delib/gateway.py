@@ -89,8 +89,22 @@ class CompletionResult:
 
 #: json.dumps(value, ensure_ascii=False) for a str.
 _json_str = json.encoder.encode_basestring
-#: Distinct system messages a backend keeps a hash state for.
+#: Distinct system messages a table of hash states keeps a state for.
 MAX_SYSTEM_STATES = 64
+
+
+class SystemStates(dict):
+    """Hash states kept per system message. A prompt's system message is
+    one of a few templates, so a state that has absorbed one serves every
+    later prompt that starts with it. At most MAX_SYSTEM_STATES are kept,
+    so a caller that sends a new system message each time does not grow
+    the table. A kept state is only ever copied, never updated."""
+
+    def keep(self, system: str, state):
+        """Keep state for system while there is room; returns state."""
+        if len(self) < MAX_SYSTEM_STATES:
+            self[system] = state
+        return state
 
 
 def _plain(message) -> bool:
@@ -113,15 +127,19 @@ class CacheKeys:
     A cache key is the sha256 of dumps_canonical({"backend", "decoding",
     "messages", "model"}): a head fixed by the config, the messages, and a
     fixed tail. The head is encoded once; a hash state that has absorbed
-    the head and a system message is kept for each distinct system message,
-    up to MAX_SYSTEM_STATES, so a completion encodes and hashes only the
+    the head and a system message is kept for each distinct system message
+    (a SystemStates table), so a completion encodes and hashes only the
     messages after it.
 
-    Next to each, a hash state is kept after the start of a user message:
-    its text up to the last newline, such as a few-shot prompt's example
-    block. It serves every later user message that starts with that text,
-    since JSON escapes each character alone, so that the escaped text is
-    the escaped start followed by the escaped rest.
+    Next to each, a hash state may be kept after the start of a user
+    message: its text up to the last newline, such as a few-shot prompt's
+    example block. It serves every later user message that starts with that
+    text, since JSON escapes each character alone, so that the escaped text
+    is the escaped start followed by the escaped rest. The state is built
+    only when a user message starts with the start of the one before it
+    under the same system message: most prompts put the sentence before
+    their last line, and a state for a start that never comes again would
+    cost a copy for nothing.
     """
 
     def __init__(self, config: BackendConfig):
@@ -133,13 +151,14 @@ class CacheKeys:
             f'{{"backend": {_json_str(config.name)}, "decoding": {decoding}, '
             '"messages": ['.encode())
         self.tail = f'], "model": {_json_str(config.model)}}}'.encode()
-        self._after_system: dict[str, "hashlib._Hash"] = {}
+        self._after_system = SystemStates()
         # system message -> (start of a user text, the state after it); set
         # as one tuple, so a thread never reads one's text with another's state
         self._after_user_start: dict[str, tuple[str, "hashlib._Hash"]] = {}
+        # system message -> the start of the last user text that had no state
+        self._last_start: dict[str, str] = {}
 
     def key(self, messages: Sequence[Message]) -> str:
-        messages = list(messages)
         first = messages[0] if messages else None
         if _plain(first) and first["role"] == "system":
             system = first["content"]
@@ -147,13 +166,13 @@ class CacheKeys:
             if state is None:
                 state = self.head.copy()
                 state.update(_encode_message(first).encode())
-                if len(self._after_system) < MAX_SYSTEM_STATES:
-                    self._after_system[system] = state
+                self._after_system.keep(system, state)
             user = messages[1] if len(messages) > 1 else None
             if _plain(user):
                 state, rest = self._after_start(system, state, user["content"])
                 rest += f', "role": {_json_str(user["role"])}}}'
-                rest += "".join([", " + _encode_message(m) for m in messages[2:]])
+                if len(messages) > 2:
+                    rest += "".join([", " + _encode_message(m) for m in messages[2:]])
             else:
                 state = state.copy()
                 rest = "".join([", " + _encode_message(m) for m in messages[1:]])
@@ -165,16 +184,19 @@ class CacheKeys:
         return state.hexdigest()
 
     def _after_start(self, system: str, after_system, text: str):
-        """A copy of the state after system and the start of a user message
-        with this text, and the encoded rest of the text up to its closing quote."""
+        """A copy of a state after system and the start of a user message
+        with this text, and the rest of the message to hash after it, up to
+        the closing quote of its content."""
         kept = self._after_user_start.get(system)
         if kept is None or not text.startswith(kept[0]):
-            start = text[:text.rfind("\n") + 1]
+            last = self._last_start.get(system)
+            if not last or not text.startswith(last):
+                if system in self._after_system:
+                    self._last_start[system] = text[:text.rfind("\n") + 1]
+                return after_system.copy(), f', {{"content": {_json_str(text)}'
             state = after_system.copy()
-            state.update(f', {{"content": {_json_str(start)[:-1]}'.encode())
-            kept = (start, state)
-            if start and system in self._after_system:
-                self._after_user_start[system] = kept
+            state.update(f', {{"content": {_json_str(last)[:-1]}'.encode())
+            kept = self._after_user_start[system] = (last, state)
         start, state = kept
         return state.copy(), _json_str(text[len(start):])[1:]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring
 
 from .errors import SchemaError
 
@@ -27,11 +28,28 @@ SCHEMA_FIELDS = {
 _LABEL_FIELD = {"SIMPLE": "deliberative", "COT": "deliberative",
                 "CRITIC": "suggestion", "JUDGE": "deliberative"}
 
+#: Each schema's required fields, for one C-level comparison with an object's keys.
+_REQUIRED = {schema: frozenset(fields) for schema, fields in SCHEMA_FIELDS.items()}
+
 _FENCE = re.compile(r"^```[a-zA-Z]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
 #: Decodes one JSON value at an index without json.loads' per-call checks.
 scan_json = json.JSONDecoder().scan_once
-#: json.dumps(value, sort_keys=True, ensure_ascii=False) with one prebuilt encoder.
-dumps_canonical = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+if c_make_encoder is None:  # an interpreter built without the C accelerator
+    dumps_canonical = _CANONICAL.encode
+else:
+    # the C encoder JSONEncoder.encode builds on every call, built once with
+    # the arguments it passes, except markers=None: no caller encodes a value
+    # that contains itself, so the circular-reference check is not kept
+    _encode_chunks = c_make_encoder(
+        None, _CANONICAL.default, encode_basestring, _CANONICAL.indent,
+        _CANONICAL.key_separator, _CANONICAL.item_separator, _CANONICAL.sort_keys,
+        _CANONICAL.skipkeys, _CANONICAL.allow_nan)
+
+    def dumps_canonical(value) -> str:
+        """json.dumps(value, sort_keys=True, ensure_ascii=False)."""
+        return "".join(_encode_chunks(value, 0))
 
 
 def loads_line(line: str):
@@ -85,6 +103,39 @@ def _first_balanced_object(text: str) -> str | None:
     return None
 
 
+def _repaired(text: str, repairs: list[str]):
+    """The JSON value LENIENT recovers from a stripped response that is not
+    JSON as it stands, or None: the fenced value, else the first balanced
+    object. A JSON object that the scanner decodes at the first "{" is that
+    balanced object, so the character loop runs only when that scan fails
+    and the balanced object may start at a later "{"."""
+    obj = None
+    fenced = _FENCE.match(text)
+    if fenced:
+        repairs.append("fence-strip")
+        text = fenced.group(1).strip()
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            obj = None
+    if obj is None:
+        start = text.find("{")
+        if start == -1:
+            return None
+        try:
+            obj = scan_json(text, start)[0]
+        except (StopIteration, ValueError):
+            candidate = _first_balanced_object(text)
+            if candidate is None:
+                return None
+            try:
+                obj = json.loads(candidate)
+            except json.JSONDecodeError:
+                obj = None
+        repairs.append("object-extract")
+    return obj
+
+
 def _coerce_binary(value, lenient: bool, repairs: list[str]) -> int:
     if isinstance(value, bool):
         if lenient:
@@ -123,41 +174,26 @@ def parse_prediction(raw: str, expected_schema: str, repair_policy: str = LENIEN
     except (StopIteration, ValueError):
         end = -1
     if end != len(text):
-        obj = None
-        if lenient:
-            fenced = _FENCE.match(text)
-            if fenced:
-                repairs.append("fence-strip")
-                text = fenced.group(1).strip()
-                try:
-                    obj = json.loads(text)
-                except json.JSONDecodeError:
-                    obj = None
-            if obj is None:
-                candidate = _first_balanced_object(text)
-                if candidate is not None:
-                    repairs.append("object-extract")
-                    try:
-                        obj = json.loads(candidate)
-                    except json.JSONDecodeError:
-                        obj = None
+        obj = _repaired(text, repairs) if lenient else None
     if obj is None:
         raise SchemaError("no parsable JSON object in response")
     if not isinstance(obj, dict):
         raise SchemaError(f"expected a JSON object, got {type(obj).__name__}")
 
     required = SCHEMA_FIELDS[expected_schema]
-    missing = [f for f in required if f not in obj]
-    if missing:
-        raise SchemaError(f"missing required fields: {', '.join(missing)}")
-    if len(obj) > len(required):
+    if obj.keys() == _REQUIRED[expected_schema]:
+        extra = {}
+    else:
+        missing = [f for f in required if f not in obj]
+        if missing:
+            raise SchemaError(f"missing required fields: {', '.join(missing)}")
         extra = {k: v for k, v in obj.items() if k not in required}
         if not lenient:
             raise SchemaError(f"unexpected fields under STRICT: {sorted(extra)}")
-    else:
-        extra = {}
 
-    label = _coerce_binary(obj[_LABEL_FIELD[expected_schema]], lenient, repairs)
+    label = obj[_LABEL_FIELD[expected_schema]]
+    if type(label) is not int or label not in (0, 1):
+        label = _coerce_binary(label, lenient, repairs)
 
     step1 = step2 = None
     if expected_schema == "COT":

@@ -9,7 +9,7 @@ from typing import Literal, Mapping, Sequence
 
 from .corpus import Corpus, Sentence
 from .errors import DataError
-from .gateway import classify_steps, drive
+from .gateway import SystemStates, classify_steps, drive
 from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 
@@ -32,8 +32,18 @@ class PromptBundle:
     sentence_id: str
 
     def digest(self) -> str:
-        payload = f"{self.system}\x00{self.user}".encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        """sha256(f"{system}\\x00{user}") in 16 hex digits, resumed from a
+        state that has absorbed the system prompt and the separator."""
+        state = _AFTER_SYSTEM.get(self.system)
+        if state is None:
+            state = _AFTER_SYSTEM.keep(self.system,
+                                       hashlib.sha256(f"{self.system}\x00".encode()))
+        state = state.copy()
+        state.update(self.user.encode())
+        return state.hexdigest()[:16]
+
+
+_AFTER_SYSTEM = SystemStates()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
 import json
+import os
 
 import pytest
+from hypothesis import settings
 
 from delib.corpus import Corpus, Sentence, sentence_id
 from delib.gateway import MockRule
 from delib.runner import load_manifest
+
+# HYPOTHESIS_PROFILE=ci runs each hypothesis test that sets no example count
+# of its own 1000 times: CI runs the fast-path reference tests so.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Batch shapes of the annotated White House corpus: (n_sentences, n_ad).
 # Note: the published table's batch rows sum to 4,504 sentences while its

@@ -29,6 +29,24 @@ class TestSentenceId:
         assert corpus.sentences[0].text == "  padded text "
 
 
+class TestSentenceValue:
+    def test_immutable_hashable_with_its_fields_and_repr(self):
+        s = Sentence(id="k1-0", batch="K1", text="We should.", gold_label=1)
+        assert Sentence._fields == ("id", "batch", "text", "gold_label")
+        assert repr(s) == "Sentence(id='k1-0', batch='K1', text='We should.', gold_label=1)"
+        with pytest.raises(AttributeError):
+            s.text = "changed"
+        assert s == Sentence("k1-0", "K1", "We should.", 1)
+        assert {s: 1}[Sentence("k1-0", "K1", "We should.", 1)] == 1
+        assert s != Sentence("k1-0", "K1", "We should.", 0)
+
+    def test_corpus_digest_pinned(self):
+        # the digest names the corpus in every run id
+        corpus = build_corpus([("We should consider it.", "K1", 1),
+                               ("The board met.", "K2", 0)])
+        assert corpus.digest() == "51f20b57c50d614f"
+
+
 _REF_WS = re.compile(r"\s+")
 
 

@@ -423,6 +423,35 @@ def test_window_turns_slow_and_fast_again_as_one_at_a_time():
     assert here in threads[pooled[-1]:], threads
 
 
+def test_later_requests_may_see_cached_the_other_way_round():
+    """Generator i asks slow{i % 12}, then slow{(i + 1) % 12}, the prompt
+    generator i + 1 asks first. One at a time, generator i's second request
+    gets the call and generator i + 1 a cache hit; in the window the two may
+    meet the other way round. Every request still gets the same text, and
+    each prompt is sent once, so one completion per prompt is uncached."""
+    def stream():
+        for i in range(48):
+            yield asking_cached(f"slow{i % 12}", f"slow{(i + 1) % 12}")
+
+    def texts(results):
+        return [[text for text, _cached in answers] for answers in results]
+
+    def uncached(results):
+        return sum(not cached for answers in results for _text, cached in answers)
+
+    serial = ChatBackend(BackendConfig(name="window", model="m"),
+                         transport=LoggedTransport(), sleep=lambda _t: None,
+                         clock=lambda: 0.0)
+    expected = [drive(steps, serial.complete) for steps in stream()]
+    windowed = window_backend(LoggedTransport(), 4)
+    committed = []
+    run_window(windowed, stream(), committed.append)
+    assert texts(committed) == texts(expected)
+    assert uncached(committed) == uncached(expected) == 12
+    assert sorted(windowed.transport.log) == sorted(serial.transport.log)
+    assert len(set(windowed.transport.log)) == 12
+
+
 class TestWindowScheduling:
     def test_backoff_does_not_hold_the_only_slot(self):
         # A fails once and waits out its backoff; with max_in_flight=1, B's

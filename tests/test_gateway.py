@@ -198,6 +198,23 @@ class TestUserStartStates:
                 assert keys.key(messages) == reference.key(messages)
         assert keys._after_user_start["sys a"][0] == block
 
+    def test_state_built_only_once_a_start_repeats(self):
+        keys, reference = CacheKeys(HINTED), SystemStateKeys(HINTED)
+
+        def ask(user):
+            messages = [{"role": "system", "content": "sys"},
+                        {"role": "user", "content": user}]
+            assert keys.key(messages) == reference.key(messages)
+
+        ask('Sentence: "a"\nLabel it.')  # the start holds the sentence
+        ask('Sentence: "b"\nLabel it.')
+        ask("Examples:\n1\nSentence: c")
+        assert "sys" not in keys._after_user_start
+        ask("Examples:\n1\nSentence: d")
+        assert keys._after_user_start["sys"][0] == "Examples:\n1\n"
+        ask("Examples:\n1\nSentence: e\nand more")  # served by the kept state
+        assert keys._after_user_start["sys"][0] == "Examples:\n1\n"
+
 
 class TestBackendDigest:
     def test_unchanged_without_hint(self):
