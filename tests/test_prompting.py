@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ from delib.gateway import CompletionResult, MockRule, drive, mock_backend
 from delib.prompting import (VARIANTS, Example, ExampleSet, Variant, build_error_pool,
                              generate_example_reasoning, render_cot,
                              render_cot_few_shot, render_few_shot,
-                             render_reasoning_prompt, render_zero_shot,
-                             select_few_shot_examples)
+                             reasoned_examples_steps, render_reasoning_prompt,
+                             render_zero_shot, select_few_shot_examples)
+from delib.runner import _seed_for_batch
 from delib.templates import DEFAULT_TEMPLATES
 
 from conftest import build_corpus, make_sentence
@@ -287,6 +289,163 @@ class TestErrorPool:
     def test_schema_failures_not_pooled(self, small_corpus):
         run = {s.id: None for s in small_corpus.sentences}
         assert build_error_pool(run, small_corpus, "K3") == []
+
+
+#: (seed, batch) -> the sentence ids, in order, of: the random pool's picks;
+#: the error pool's picks; the reasoned candidates as tried, one id per
+#: reasoning request; the reasoned picks. Over full_corpus with k=5, the
+#: batch seed a run uses, the prediction map of _pinned_predictions and the
+#: reasoning mock of _reasoning_tries. Generated before example pools held
+#: sentences, so a change to the pools must leave every pick as it was.
+SELECTION_PINS = {
+    (3, "K1"): (
+        "636acc1afe414248 015f1d812deb2ef1 8a83e9ad31fa922b b611b7e551685212 "
+        "089622f3ade8419d",
+        "bd23bf6cdaa9525a d2a31ee3806f9767 1a3c4544a09938ef 74bb33080d033d38 "
+        "5c97309c89de1b12",
+        "bd23bf6cdaa9525a bd23bf6cdaa9525a d2a31ee3806f9767 1a3c4544a09938ef "
+        "1a3c4544a09938ef 74bb33080d033d38 74bb33080d033d38 5c97309c89de1b12 "
+        "5c97309c89de1b12 e15c64169b2b175b",
+        "bd23bf6cdaa9525a d2a31ee3806f9767 74bb33080d033d38 5c97309c89de1b12 "
+        "e15c64169b2b175b",
+    ),
+    (3, "K2"): (
+        "cc7a0c160fe19657 1bed27dd64702bbe e44063794c7ad9ee beaff224c5a081dc "
+        "03d08fe9042f8d4c",
+        "30ba27ea69daad2a 75cbbe89a9cb5df7 6d272dbad3cd8e63 8276876a4ea99c3c "
+        "111803779b3b2b21",
+        "30ba27ea69daad2a 30ba27ea69daad2a 75cbbe89a9cb5df7 6d272dbad3cd8e63 "
+        "8276876a4ea99c3c 8276876a4ea99c3c 111803779b3b2b21",
+        "30ba27ea69daad2a 75cbbe89a9cb5df7 6d272dbad3cd8e63 8276876a4ea99c3c "
+        "111803779b3b2b21",
+    ),
+    (3, "K3"): (
+        "80f90abfc2135538 688bbc5b917cb8d6 011ae8c8bbad9d11 8c620a95934892ce "
+        "fddcfe590412209a",
+        "b0ac2b6901e4f01d a2eef561a012af39 94f60eba6fa2bfc5 1a13d98a0a320739 "
+        "7173c0745291c6c1",
+        "b0ac2b6901e4f01d a2eef561a012af39 94f60eba6fa2bfc5 1a13d98a0a320739 "
+        "7173c0745291c6c1",
+        "b0ac2b6901e4f01d a2eef561a012af39 94f60eba6fa2bfc5 1a13d98a0a320739 "
+        "7173c0745291c6c1",
+    ),
+    (3, "R4"): (
+        "9e071767f8e7a6a9 a1ce072332e3d2e9 a8ad6ebfbd8a0d90 d5302f40340be383 "
+        "6828631293959f71",
+        "bb57aff96859c34c 793d0219a3e8530e 8f125fef5cdb3da1 b2fc8f0be94583a1 "
+        "1f37fe46b4e221fb",
+        "bb57aff96859c34c bb57aff96859c34c 793d0219a3e8530e 793d0219a3e8530e "
+        "8f125fef5cdb3da1 b2fc8f0be94583a1 1f37fe46b4e221fb",
+        "bb57aff96859c34c 793d0219a3e8530e 8f125fef5cdb3da1 b2fc8f0be94583a1 "
+        "1f37fe46b4e221fb",
+    ),
+    (3, "K5"): (
+        "8c40c6093a38a049 54d8973508dae967 b104df040642abe3 4e189a59ecd0e6a9 "
+        "c0a8dadd3c8289c7",
+        "d4a721caf685f3dc 508f56a528932036 db6086ed59aa4494 8c22f5a58bd7acff "
+        "7940710533104a19",
+        "d4a721caf685f3dc d4a721caf685f3dc 508f56a528932036 508f56a528932036 "
+        "db6086ed59aa4494 db6086ed59aa4494 8c22f5a58bd7acff 8c22f5a58bd7acff "
+        "7940710533104a19 aee9731774123729",
+        "d4a721caf685f3dc 508f56a528932036 db6086ed59aa4494 7940710533104a19 "
+        "aee9731774123729",
+    ),
+    (11, "K1"): (
+        "3a9abef1695316fd 5a00c09fbae348ba ba05b6ddbecc3950 6ba0aea077720ded "
+        "679673a43ea9b464",
+        "5591bb7d579affd9 cab3904e9b731de7 fc2015bf53017c5f 465b15497b8af318 "
+        "f559fb85b8153482",
+        "5591bb7d579affd9 cab3904e9b731de7 fc2015bf53017c5f fc2015bf53017c5f "
+        "465b15497b8af318 465b15497b8af318 f559fb85b8153482 f559fb85b8153482 "
+        "1a22c905f0dedc1f 1a22c905f0dedc1f cb87ba4877c1e688 cb87ba4877c1e688",
+        "5591bb7d579affd9 cab3904e9b731de7 465b15497b8af318 f559fb85b8153482 "
+        "cb87ba4877c1e688",
+    ),
+    (11, "K2"): (
+        "1f904d32d11fffdb 98b4e246001ff40c 4c90b19f610b7400 9e53b60b8141aa28 "
+        "e073ff3b55574c1d",
+        "3761c84399eb5e6e b6080577e8c8f00c 974f35602768cf38 c795835b783ca76e "
+        "ad4fc435c8d6d543",
+        "3761c84399eb5e6e 3761c84399eb5e6e b6080577e8c8f00c b6080577e8c8f00c "
+        "974f35602768cf38 974f35602768cf38 c795835b783ca76e c795835b783ca76e "
+        "ad4fc435c8d6d543",
+        "3761c84399eb5e6e b6080577e8c8f00c 974f35602768cf38 c795835b783ca76e "
+        "ad4fc435c8d6d543",
+    ),
+    (11, "K3"): (
+        "75f43d93f132d384 b6acc5173d6d7e27 7fb2f7829c4dc6af 6b02a673698869ca "
+        "508f682f45516924",
+        "bddd5331c695407b a0fb049bb478e38d f55d23a4fc16eace 0b7bce4f6d97b384 "
+        "cb0629c6e70d7694",
+        "bddd5331c695407b a0fb049bb478e38d f55d23a4fc16eace f55d23a4fc16eace "
+        "0b7bce4f6d97b384 0b7bce4f6d97b384 cb0629c6e70d7694 cb0629c6e70d7694",
+        "bddd5331c695407b a0fb049bb478e38d f55d23a4fc16eace 0b7bce4f6d97b384 "
+        "cb0629c6e70d7694",
+    ),
+    (11, "R4"): (
+        "964df6f1b6030178 b8d6e7f70aa247dd 2a74e3401b9e1226 b715d22e28b44d12 "
+        "03cce7e14bc66952",
+        "5da97b99ea665d6c 5a81ce29ed63c83a 4cfd8456ff292274 47d4929ed3ef7b07 "
+        "831a0fb47cfdac34",
+        "5da97b99ea665d6c 5da97b99ea665d6c 5a81ce29ed63c83a 5a81ce29ed63c83a "
+        "4cfd8456ff292274 4cfd8456ff292274 47d4929ed3ef7b07 831a0fb47cfdac34 "
+        "831a0fb47cfdac34",
+        "5da97b99ea665d6c 5a81ce29ed63c83a 4cfd8456ff292274 47d4929ed3ef7b07 "
+        "831a0fb47cfdac34",
+    ),
+    (11, "K5"): (
+        "5da97b99ea665d6c 2cfa1f40923d9b67 1277ad2f4fc7784c 853f73b3de081852 "
+        "c852fc5f6dd65ba8",
+        "7330454d8d442632 221312d9a3b7c47b 8a000e95742a5019 5fe67e0f26ebe4ff "
+        "79feedbba7ddcbc4",
+        "7330454d8d442632 7330454d8d442632 221312d9a3b7c47b 8a000e95742a5019 "
+        "5fe67e0f26ebe4ff 5fe67e0f26ebe4ff 79feedbba7ddcbc4 79feedbba7ddcbc4 "
+        "7b6795eeddb02c92 7b6795eeddb02c92",
+        "7330454d8d442632 221312d9a3b7c47b 8a000e95742a5019 79feedbba7ddcbc4 "
+        "7b6795eeddb02c92",
+    ),
+}
+
+
+def _pinned_predictions(corpus):
+    """Every 11th sentence a schema failure, every other 7th a mistake."""
+    return {s.id: (None if i % 11 == 0 else 1 - s.gold_label if i % 7 == 0
+                   else s.gold_label)
+            for i, s in enumerate(corpus.sentences)}
+
+
+def _reasoning_tries(corpus, batch, seed, pool):
+    """(ids tried, ids kept) by reasoned_examples_steps, against a mock that
+    contradicts gold once for an id ending in an even hex digit (the retry
+    agrees) and twice for one ending in f (excluded)."""
+    by_text = {s.text: s for s in corpus.sentences}
+    tried = []
+
+    def complete(messages):
+        user = messages[-1]["content"]
+        s = by_text[user[len('Sentence: "'):user.index('"\n')]]
+        tried.append(s.id)
+        first = "(retry 1)" not in user
+        contradict = s.id.endswith("f") or (first and int(s.id[-1], 16) % 2 == 0)
+        label = 1 - s.gold_label if contradict else s.gold_label
+        return CompletionResult(json.dumps({"step1": "a", "step2": "b", "deliberative": label}))
+
+    kept = drive(reasoned_examples_steps(corpus, batch, 5, seed, pool=pool), complete)
+    return tried, [e.sentence.id for e in kept]
+
+
+class TestSelectionPins:
+    @pytest.mark.parametrize("seed,batch", list(SELECTION_PINS))
+    def test_picks_and_tries(self, full_corpus, seed, batch):
+        random_ids, error_ids, tried_ids, kept_ids = (
+            ids.split() for ids in SELECTION_PINS[seed, batch])
+        batch_seed = _seed_for_batch(seed, batch)
+        pool = build_error_pool(_pinned_predictions(full_corpus), full_corpus, batch)
+        assert [e.sentence.id for e in select_few_shot_examples(
+            full_corpus, batch, 5, batch_seed)] == random_ids
+        assert [e.sentence.id for e in select_few_shot_examples(
+            full_corpus, batch, 5, batch_seed, pool=pool)] == error_ids
+        assert _reasoning_tries(full_corpus, batch, batch_seed, pool) == (tried_ids, kept_ids)
 
 
 class TestExampleReasoning:
