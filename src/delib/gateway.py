@@ -113,23 +113,17 @@ def _plain(message) -> bool:
             and type(message.get("role")) is str and type(message.get("content")) is str)
 
 
-def _encode_message(message: Message) -> str:
-    """dumps_canonical(message), spelled out for the usual {"role": str, "content": str}."""
-    if _plain(message):
-        content, role = _json_str(message["content"]), _json_str(message["role"])
-        return f'{{"content": {content}, "role": {role}}}'
-    return dumps_canonical(message)
-
-
 class CacheKeys:
     """The reusable parts of one backend's cache keys.
 
     A cache key is the sha256 of dumps_canonical({"backend", "decoding",
     "messages", "model"}): a head fixed by the config, the messages, and a
-    fixed tail. The head is encoded once; a hash state that has absorbed
-    the head and a system message is kept for each distinct system message
-    (a SystemStates table), so a completion encodes and hashes only the
-    messages after it.
+    fixed tail. The head is encoded once. For the shape a run sends, a
+    plain system message and one plain message after it, a hash state that
+    has absorbed the head and the system message is kept for each distinct
+    system message (a SystemStates table), so a completion encodes and
+    hashes only the message after it. Any other list is hashed as the
+    definition says.
 
     Next to each, a hash state may be kept after the start of a user
     message: its text up to the last newline, such as a few-shot prompt's
@@ -159,26 +153,20 @@ class CacheKeys:
         self._last_start: dict[str, str] = {}
 
     def key(self, messages: Sequence[Message]) -> str:
-        first = messages[0] if messages else None
-        if _plain(first) and first["role"] == "system":
+        if (len(messages) == 2 and _plain(messages[0]) and messages[0]["role"] == "system"
+                and _plain(messages[1])):
+            first, user = messages
             system = first["content"]
             state = self._after_system.get(system)
             if state is None:
                 state = self.head.copy()
-                state.update(_encode_message(first).encode())
+                state.update(dumps_canonical(first).encode())
                 self._after_system.keep(system, state)
-            user = messages[1] if len(messages) > 1 else None
-            if _plain(user):
-                state, rest = self._after_start(system, state, user["content"])
-                rest += f', "role": {_json_str(user["role"])}}}'
-                if len(messages) > 2:
-                    rest += "".join([", " + _encode_message(m) for m in messages[2:]])
-            else:
-                state = state.copy()
-                rest = "".join([", " + _encode_message(m) for m in messages[1:]])
+            state, rest = self._after_start(system, state, user["content"])
+            rest += f', "role": {_json_str(user["role"])}}}'
         else:
             state = self.head.copy()
-            rest = ", ".join([_encode_message(m) for m in messages])
+            rest = dumps_canonical(list(messages))[1:-1]
         state.update(rest.encode())
         state.update(self.tail)
         return state.hexdigest()

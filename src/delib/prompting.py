@@ -49,7 +49,6 @@ _AFTER_SYSTEM = SystemStates()
 @dataclass(frozen=True)
 class Example:
     sentence: Sentence
-    gold_label: int
     reasoning: Mapping[str, str] | None = None  # {"step1": ..., "step2": ...}
 
 
@@ -69,7 +68,8 @@ class ExampleSet:
                  templates: TemplateSet = DEFAULT_TEMPLATES) -> "ExampleSet":
         return cls(examples, "\n".join(
             templates.render("example_line", text=ex.sentence.text,
-                             label_name=_label_name(ex.gold_label), label=ex.gold_label)
+                             label_name=_label_name(ex.sentence.gold_label),
+                             label=ex.sentence.gold_label)
             for ex in examples))
 
     @classmethod
@@ -82,7 +82,7 @@ class ExampleSet:
             blocks.append(templates.render(
                 "cot_example_block", text=ex.sentence.text,
                 step1=ex.reasoning["step1"], step2=ex.reasoning["step2"],
-                label_name=_label_name(ex.gold_label), label=ex.gold_label))
+                label_name=_label_name(ex.sentence.gold_label), label=ex.sentence.gold_label))
         return cls(examples, "\n\n".join(blocks))
 
 
@@ -184,15 +184,13 @@ VARIANTS: dict[Variant, VariantSpec] = {
 
 
 def _shuffled_candidates(corpus: Corpus, target_batch: str, k: int, seed: int,
-                         pool: Sequence[Example] | None) -> list[Example]:
-    """The candidates from batches other than the target, in seeded order:
-    the whole corpus for pool=None, else the prebuilt pool (e.g. the error
-    pool). Fewer than k raises DataError."""
-    if pool is None:
-        candidates = [Example(sentence=s, gold_label=s.gold_label)
-                      for s in corpus.sentences if s.batch != target_batch]
-    else:
-        candidates = [ex for ex in pool if ex.sentence.batch != target_batch]
+                         pool: Sequence[Sentence] | None) -> list[Sentence]:
+    """The candidate sentences from batches other than the target, in
+    seeded order: the whole corpus for pool=None, else the pool (e.g. the
+    error pool). The order depends only on the number of candidates. Fewer
+    than k raises DataError."""
+    candidates = [s for s in (corpus.sentences if pool is None else pool)
+                  if s.batch != target_batch]
     if len(candidates) < k:
         raise DataError(
             f"insufficient example pool for batch {target_batch}: "
@@ -206,23 +204,24 @@ def select_few_shot_examples(
     target_batch: str,
     k: int,
     seed: int,
-    pool: Sequence[Example] | None = None,
+    pool: Sequence[Sentence] | None = None,
 ) -> list[Example]:
     """Sample k examples without replacement from batches other than the
     target, with a seeded generator for reproducibility.
 
-    pool=None draws from the whole corpus; otherwise pool is a prebuilt
-    candidate list (e.g. the error pool), filtered to non-target batches.
+    pool=None draws from the whole corpus; otherwise pool is a list of
+    candidate sentences (e.g. the error pool), filtered to non-target batches.
     """
-    return _shuffled_candidates(corpus, target_batch, k, seed, pool)[:k]
+    return [Example(s) for s in _shuffled_candidates(corpus, target_batch, k, seed, pool)[:k]]
 
 
 def build_error_pool(
     zero_shot_run: Mapping[str, int | None],
     corpus: Corpus,
     target_batch: str,
-) -> list[Example]:
-    """Sentences from non-target batches the zero-shot run got wrong.
+) -> list[Sentence]:
+    """Sentences from non-target batches the zero-shot run got wrong, in
+    corpus order.
 
     zero_shot_run maps sentence id to the predicted label (None marks a
     schema failure, which neither errors nor joins the pool). Every
@@ -234,20 +233,15 @@ def build_error_pool(
     if uncovered:
         raise DataError(
             "zero-shot run does not cover batches: " + ", ".join(uncovered))
-    pool = []
-    for s in corpus.sentences:
-        if s.batch == target_batch:
-            continue
-        pred = zero_shot_run[s.id]
-        if pred is not None and pred != s.gold_label:
-            pool.append(Example(sentence=s, gold_label=s.gold_label))
-    return pool
+    return [s for s in corpus.sentences
+            if s.batch != target_batch and zero_shot_run[s.id] not in (None, s.gold_label)]
 
 
 def render_reasoning_prompt(example: Example, templates: TemplateSet = DEFAULT_TEMPLATES,
                             attempt: int = 0) -> PromptBundle:
+    label = example.sentence.gold_label
     bundle = render_prompt("reasoning", example.sentence, templates,
-                           label_name=_label_name(example.gold_label), label=example.gold_label)
+                           label_name=_label_name(label), label=label)
     if attempt:
         # Changes the cache key so the retry is not served the cached
         # contradicting response.
@@ -263,7 +257,7 @@ def example_reasoning_steps(example: Example, templates: TemplateSet = DEFAULT_T
         bundle = render_reasoning_prompt(example, templates, attempt=attempt)
         outcome = yield from classify_steps(bundle, repair_policy)
         pred = outcome.prediction
-        if pred is not None and pred.label == example.gold_label:
+        if pred is not None and pred.label == example.sentence.gold_label:
             return replace(example, reasoning={"step1": pred.step1, "step2": pred.step2})
     return None
 
@@ -286,13 +280,13 @@ def reasoned_examples_steps(
     target_batch: str,
     k: int,
     seed: int,
-    pool: Sequence[Example] | None = None,
+    pool: Sequence[Sentence] | None = None,
     templates: TemplateSet = DEFAULT_TEMPLATES,
 ):
     """Step generator for reasoned_examples(); returns the examples."""
     out: list[Example] = []
     for candidate in _shuffled_candidates(corpus, target_batch, k, seed, pool):
-        example = yield from example_reasoning_steps(candidate, templates)
+        example = yield from example_reasoning_steps(Example(candidate), templates)
         if example is not None:
             out.append(example)
             if len(out) == k:
@@ -308,7 +302,7 @@ def reasoned_examples(
     k: int,
     seed: int,
     backend,
-    pool: Sequence[Example] | None = None,
+    pool: Sequence[Sentence] | None = None,
     templates: TemplateSet = DEFAULT_TEMPLATES,
 ) -> list[Example]:
     """First k pool candidates (seeded order) with valid generated reasoning.

@@ -238,23 +238,24 @@ def run_variant(
     partial = len(scope_batches) < len(corpus.batches())
     backend_digest = backend.config.digest()
     corpus_digest = corpus.digest()
+    template_version = templates.version
     run_id = compute_run_id(variant, backend_digest, corpus_digest,
-                            seed, k, templates.version, repair_policy,
+                            seed, k, template_version, repair_policy,
                             scope_batches if partial else None)
     run_dir = Path(runs_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     records_path = run_dir / "records.jsonl"
     _truncate_torn_tail(records_path)
-    existing = load_records(run_dir)
+    existing = load_predictions(run_dir)
 
     manifest = RunManifest(
         run_id=run_id, variant=variant.value,
         backend_digest=backend_digest,
         backend_name=backend.config.name,
-        corpus_digest=corpus_digest, template_version=templates.version,
+        corpus_digest=corpus_digest, template_version=template_version,
         seed=seed, k=k, batches=scope_batches, repair_policy=repair_policy,
         started_at=_now(), n_records=len(existing),
-        schema_failures=sum(1 for r in existing.values() if r["final_label"] is None),
+        schema_failures=sum(1 for label in existing.values() if label is None),
     )
     manifest_path = run_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")

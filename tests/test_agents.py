@@ -136,7 +136,7 @@ class TestPredictorCriticJudge:
         assert "normalized to flawed" in caplog.text
 
     def test_few_shot_error_predictor(self):
-        exs = [Example(sentence=make_sentence("E", "K2", 1), gold_label=1,
+        exs = [Example(sentence=make_sentence("E", "K2", 1),
                        reasoning={"step1": "a", "step2": "b"})]
         s = make_sentence("x", "K1")
         backend = pcj_backend(1, "sound", 1)

@@ -84,7 +84,7 @@ class TestCacheKeyFormat:
         assert cache_key(HINTED, HINTED_MSGS) == expected
         assert ChatBackend(HINTED, transport=lambda m: None).key(HINTED_MSGS) == expected
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
     @given(name=_text, model=_text,
            temperature=st.floats(min_value=0, allow_infinity=False),
            max_tokens=st.integers(1, 10 ** 6),
@@ -172,7 +172,7 @@ def _conversation(system, start, rest, shape):
 
 
 class TestUserStartStates:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
     @given(systems=st.lists(_tricky, min_size=1, max_size=2),
            starts=st.lists(st.lists(_tricky, max_size=3).map("\n".join),
                            min_size=1, max_size=3),

@@ -29,8 +29,7 @@ AMERICORPS = ("You could also announce that you will expand AmeriCorps "
 
 
 def example(text, batch="K2", label=1, reasoning=None):
-    return Example(sentence=make_sentence(text, batch, label),
-                   gold_label=label, reasoning=reasoning)
+    return Example(sentence=make_sentence(text, batch, label), reasoning=reasoning)
 
 
 class TestRenderZeroShot:
@@ -264,9 +263,7 @@ class TestErrorPool:
         run = self._run_for(corpus, wrong)
         pool = build_error_pool(run, corpus, "K3")
         assert len(pool) == 10
-        # brute-force check: pooled examples carry gold, not the bad guess
-        assert all(e.gold_label == e.sentence.gold_label for e in pool)
-        assert {e.sentence.id for e in pool} == wrong
+        assert {s.id for s in pool} == wrong
 
     def test_perfect_run_empty_pool(self, small_corpus):
         run = self._run_for(small_corpus, set())
@@ -295,8 +292,8 @@ class TestErrorPool:
 #: the error pool's picks; the reasoned candidates as tried, one id per
 #: reasoning request; the reasoned picks. Over full_corpus with k=5, the
 #: batch seed a run uses, the prediction map of _pinned_predictions and the
-#: reasoning mock of _reasoning_tries. Generated before example pools held
-#: sentences, so a change to the pools must leave every pick as it was.
+#: reasoning mock of _reasoning_tries. The ids are literals, so a change to
+#: how pools are built, filtered or shuffled that moves any pick fails here.
 SELECTION_PINS = {
     (3, "K1"): (
         "636acc1afe414248 015f1d812deb2ef1 8a83e9ad31fa922b b611b7e551685212 "
