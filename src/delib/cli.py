@@ -6,6 +6,8 @@ written).
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -33,7 +35,7 @@ def cli(ctx, config_path):
 @cli.command()
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--format", "fmt", default="jsonl",
-              type=click.Choice(["jsonl", "csv", "tsv", "table"]))
+              type=click.Choice(["jsonl", "csv", "tsv"]))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--batches", default=None,
               help="Comma-separated batch codes to keep (e.g. K1,K2,K3,R4).")
@@ -97,6 +99,25 @@ def _load_run(settings, run_id: str) -> tuple[Path, runner.RunManifest]:
     return run_dir, runner.load_manifest(run_dir)
 
 
+def _score_run(settings, run_id: str, corpus: corpus_mod.Corpus, per_batch: bool = True,
+               failures_as_negative: bool = False) -> tuple[runner.RunManifest, list]:
+    """A run's manifest and its MetricsReports over the corpus sentences of
+    its batches: ALL, then each batch when per_batch."""
+    run_dir, manifest = _load_run(settings, run_id)
+    return manifest, evaluation.evaluate_run(
+        runner.load_predictions(run_dir), corpus_mod.filter_batches(corpus, manifest.batches),
+        ["ALL"] + (manifest.batches if per_batch else []), failures_as_negative)
+
+
+def _write_reports(out_dir: str | Path, what: str, files: dict[str, str]) -> None:
+    """Write each report file's text under out_dir, creating it, and say so."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    click.echo(f"{what} written to {out_dir}")
+
+
 @cli.command("eval")
 @click.option("--run", "run_id", required=True)
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
@@ -105,24 +126,14 @@ def _load_run(settings, run_id: str) -> tuple[Path, runner.RunManifest]:
 @click.pass_obj
 def eval_cmd(settings, run_id, corpus_path, per_batch, failures_as_negative):
     """Metrics for one run (combined, optionally per batch)."""
-    corpus = corpus_mod.parse_dataset(corpus_path)
-    run_dir, manifest = _load_run(settings, run_id)
-    corpus = corpus_mod.filter_batches(corpus, manifest.batches)
-    predictions = runner.load_predictions(run_dir)
-    scopes = ["ALL"] + (manifest.batches if per_batch else [])
-    reports = evaluation.evaluate_run(predictions, corpus, scopes,
-                                      failures_as_negative)
-    click.echo(evaluation.metrics_text(reports))
-    out_dir = settings.reports_dir / manifest.run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.txt").write_text(evaluation.metrics_text(reports) + "\n",
-                                         encoding="utf-8")
-    (out_dir / "metrics.csv").write_text(evaluation.metrics_csv(reports),
-                                         encoding="utf-8")
-    (out_dir / "summary.json").write_text(
-        json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True),
-        encoding="utf-8")
-    click.echo(f"reports written to {out_dir}")
+    manifest, reports = _score_run(settings, run_id, corpus_mod.parse_dataset(corpus_path),
+                                   per_batch, failures_as_negative)
+    text = evaluation.metrics_text(reports)
+    click.echo(text)
+    _write_reports(settings.reports_dir / manifest.run_id, "reports", {
+        "metrics.txt": text + "\n",
+        "metrics.csv": evaluation.metrics_csv(reports),
+        "summary.json": json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)})
 
 
 @cli.command()
@@ -138,27 +149,19 @@ def compare(settings, run_ids, corpus_path, out_dir):
     groups: dict[str, str] = {}
     per_batch: dict[str, list[evaluation.MetricsReport]] = {}
     for run_id in run_ids.split(","):
-        run_dir, manifest = _load_run(settings, run_id.strip())
-        scoped = corpus_mod.filter_batches(corpus, manifest.batches)
-        predictions = runner.load_predictions(run_dir)
+        manifest, reports = _score_run(settings, run_id.strip(), corpus)
         label = f"{manifest.variant} [{manifest.run_id}]"
         groups[label] = manifest.backend_name
-        reports = evaluation.evaluate_run(predictions, scoped,
-                                          ["ALL"] + manifest.batches)
         combined[label] = reports[0]
         per_batch[label] = reports[1:]
     rows = evaluation.compare_runs(combined, groups)
-    click.echo(evaluation.comparison_text(rows))
+    text = evaluation.comparison_text(rows)
+    click.echo(text)
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "comparison.txt").write_text(
-            evaluation.comparison_text(rows) + "\n", encoding="utf-8")
-        (out / "comparison.csv").write_text(
-            evaluation.comparison_csv(rows), encoding="utf-8")
-        (out / "per_batch_series.csv").write_text(
-            evaluation.per_batch_series_csv(per_batch), encoding="utf-8")
-        click.echo(f"comparison written to {out}")
+        _write_reports(out_dir, "comparison", {
+            "comparison.txt": text + "\n",
+            "comparison.csv": evaluation.comparison_csv(rows),
+            "per_batch_series.csv": evaluation.per_batch_series_csv(per_batch)})
 
 
 @cli.command()
@@ -205,26 +208,20 @@ def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
                    f"zero={100 * st['share_zero']:.1f}%")
 
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "easy_sets.json").write_text(json.dumps(
-            {"easy_1": sorted(easy.easy_1), "easy_0": sorted(easy.easy_0),
-             "n_runs": easy.n_runs, "lexicon_digest": lexicons.digest},
-            indent=2), encoding="utf-8")
-        (out / "occurrence.csv").write_text(
-            indicators.occurrence_csv(occurrence), encoding="utf-8")
-        (out / "cooccurrence.csv").write_text(
-            indicators.cooccurrence_csv(cooccurrence), encoding="utf-8")
-        (out / "pairs.csv").write_text(indicators.pairs_csv(cooccurrence), encoding="utf-8")
-        (out / "verbs.csv").write_text(indicators.verbs_csv(verbs), encoding="utf-8")
-        with (out / "example_sentences.csv").open("w", encoding="utf-8") as fh:
-            fh.write("unique_indicators,gold_label,text\n")
-            for name, ids in sets.items():
-                for sid in sorted(ids):
-                    profile = profiles[sid]
-                    text = by_id[sid].text.replace('"', '""')
-                    fh.write(f'{profile.unique_count},{by_id[sid].gold_label},"{text}"\n')
-        click.echo(f"analysis written to {out}")
+        examples = io.StringIO()
+        examples.write("unique_indicators,gold_label,text\n")
+        csv.writer(examples, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n").writerows(
+            (profiles[sid].unique_count, by_id[sid].gold_label, by_id[sid].text)
+            for ids in sets.values() for sid in sorted(ids))
+        _write_reports(out_dir, "analysis", {
+            "easy_sets.json": json.dumps(
+                {"easy_1": sorted(easy.easy_1), "easy_0": sorted(easy.easy_0),
+                 "n_runs": easy.n_runs, "lexicon_digest": lexicons.digest}, indent=2),
+            "occurrence.csv": indicators.occurrence_csv(occurrence),
+            "cooccurrence.csv": indicators.cooccurrence_csv(cooccurrence),
+            "pairs.csv": indicators.pairs_csv(cooccurrence),
+            "verbs.csv": indicators.verbs_csv(verbs),
+            "example_sentences.csv": examples.getvalue()})
 
 
 @cli.command()

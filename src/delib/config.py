@@ -12,7 +12,7 @@ import yaml
 
 from .errors import ConfigError
 from .gateway import (BackendConfig, ChatBackend, DecodingParams, Limits,
-                      MockRule, ResponseCache, ScriptedTransport)
+                      MockRule, ResponseCache, mock_backend)
 
 
 @dataclass
@@ -111,9 +111,13 @@ def _backend(name: str, spec, cache: ResponseCache) -> ChatBackend:
     limits = spec.get("limits") or {}
     if not isinstance(limits, dict):
         raise ConfigError("limits must be a mapping")
-    for key in ("endpoint", "model", "auth_env"):
+    for key in ("endpoint", "model", "auth_env", "response_format_hint"):
         if spec.get(key) is not None and not isinstance(spec[key], str):
             raise ConfigError(f"{key} must be a string, got {spec[key]!r}")
+    if spec.get("response_format_hint") == "":
+        raise ConfigError("response_format_hint must not be empty")
+    if spec.get("type", "http") not in ("http", "mock"):
+        raise ConfigError(f"type must be http or mock, got {spec['type']!r}")
     limits = Limits(**_values(limits, _LIMIT_KEYS, "limits."))
     decoding = DecodingParams(**_values(spec, _DECODING_KEYS))
 
@@ -135,11 +139,9 @@ def _backend(name: str, spec, cache: ResponseCache) -> ChatBackend:
         if default is not None:
             default = _response(default, "default_response")
         model = spec.get("model")
-        config = BackendConfig(name=name, model="mock-model" if model is None else model,
-                               decoding=decoding, limits=limits)
-        return ChatBackend(config, cache=cache,
-                           transport=ScriptedTransport(mock_rules, default),
-                           sleep=lambda _t: None, clock=lambda: 0.0)
+        return mock_backend(mock_rules, default, name=name, cache=cache,
+                            model="mock-model" if model is None else model,
+                            decoding=decoding, limits=limits)
 
     if not spec.get("endpoint") or not spec.get("model"):
         raise ConfigError("endpoint and model are required")

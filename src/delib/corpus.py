@@ -193,7 +193,7 @@ def parse_dataset(source: str | Path, format: str = "jsonl") -> Corpus:
         raise DataError(f"unreadable source: {path}")
     if format == "jsonl":
         rows = _iter_jsonl(path)
-    elif format in ("csv", "tsv", "table"):
+    elif format in ("csv", "tsv"):
         rows = _iter_table(path, "\t" if format == "tsv" else None)
     else:
         raise DataError(f"unknown ingest format: {format!r}")

@@ -54,7 +54,7 @@ class Limits:
         if self.retry_budget < 0:
             raise ConfigError("retry_budget must be >= 0")
         rate = self.requests_per_minute
-        if rate is not None and (type(rate) not in (int, float) or rate < 1):
+        if rate is not None and (type(rate) not in (int, float) or not rate >= 1):  # NaN too
             raise ConfigError(f"requests_per_minute must be a number >= 1, got {rate!r}")
 
 
@@ -553,9 +553,10 @@ def classify(backend: ChatBackend, bundle: PromptBundle,
 
 def mock_backend(rules: Sequence[MockRule] = (), default: str | None = None,
                  name: str = "mock", cache: ResponseCache | None = None,
-                 model: str = "mock-model") -> ChatBackend:
+                 model: str = "mock-model", decoding: DecodingParams = DecodingParams(),
+                 limits: Limits = Limits()) -> ChatBackend:
     """Deterministic scripted backend that can drive the whole pipeline."""
-    config = BackendConfig(name=name, model=model)
+    config = BackendConfig(name=name, model=model, decoding=decoding, limits=limits)
     # fixed clock: scripted runs report latency 0, keeping records reproducible
     return ChatBackend(config, cache=cache, transport=ScriptedTransport(rules, default),
                        sleep=lambda _t: None, clock=lambda: 0.0)

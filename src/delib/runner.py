@@ -33,10 +33,6 @@ from .templates import DEFAULT_TEMPLATES, TemplateSet
 
 log = logging.getLogger(__name__)
 
-#: Dependency-sorted execution order for the full grid: the zero-shot run
-#: must exist before any error-based variant can build its pools.
-GRID_ORDER = tuple(VARIANTS)
-
 
 @dataclass
 class RunManifest:
@@ -330,24 +326,14 @@ def _dispatch_steps(sentence, variant: Variant, example_set: ExampleSet | None,
     return record
 
 
-def run_grid(
-    corpus: Corpus,
-    backend: ChatBackend,
-    runs_dir: str | Path,
-    variants: Sequence[Variant] = GRID_ORDER,
-    **kwargs,
-) -> dict[Variant, RunManifest]:
-    """Run several variants in GRID_ORDER, with the zero-shot run first
-    when any requested variant needs it."""
-    requested = set(variants)
-    if any(VARIANTS[v].needs_zero_shot for v in requested):
-        requested.add(Variant.ZERO_SHOT)
+def run_grid(corpus: Corpus, backend: ChatBackend, runs_dir: str | Path,
+             **kwargs) -> dict[Variant, RunManifest]:
+    """Run all eight variants in VARIANTS order, ZERO_SHOT first: the
+    error-based variants take their examples from its run."""
     manifests: dict[Variant, RunManifest] = {}
     zero_shot_dir = None
-    for variant in GRID_ORDER:
-        if variant in requested:
-            manifests[variant] = run_variant(corpus, variant, backend, runs_dir,
-                                             zero_shot_run_dir=zero_shot_dir, **kwargs)
-            if variant == Variant.ZERO_SHOT:
-                zero_shot_dir = Path(runs_dir) / manifests[variant].run_id
+    for variant in VARIANTS:
+        manifests[variant] = run_variant(corpus, variant, backend, runs_dir,
+                                         zero_shot_run_dir=zero_shot_dir, **kwargs)
+        zero_shot_dir = Path(runs_dir) / manifests[Variant.ZERO_SHOT].run_id
     return manifests

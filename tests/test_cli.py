@@ -621,12 +621,16 @@ def _top(**changes):
     (_echo(temperature=-1), ["'echo'", "temperature"]),
     (_echo(max_output_tokens=0), ["'echo'", "max_output_tokens"]),
     (_echo(max_output_tokens=-5), ["'echo'", "max_output_tokens"]),
+    (_echo(type="mokc"), ["'echo'", "type", "'mokc'"]),
+    (_limit(requests_per_minute=float("nan")), ["'echo'", "requests_per_minute"]),
+    (_echo(response_format_hint=[1, 2]), ["'echo'", "response_format_hint"]),
+    (_echo(response_format_hint=""), ["'echo'", "response_format_hint"]),
 ], ids=["rpm '60'", "rpm 0", "rpm -1", "max_in_flight many", "temperature hot",
         "backends a list", "limits a list", "rule without pattern", "rule pattern not a regex",
         "runs_dir 5", "temperature yes", "max_in_flight true", "retry_budget false",
         "rpm true", "max_in_flight 2.7", "max_output_tokens 12.9", "max_in_flight inf",
         "temperature nan", "temperature inf", "temperature -1", "max_output_tokens 0",
-        "max_output_tokens -5"])
+        "max_output_tokens -5", "type mokc", "rpm nan", "hint a list", "hint empty"])
 def test_a_malformed_config_value_exits_2(tmp_path, capsys, change, names):
     doc = valid_config()
     change(doc)

@@ -10,9 +10,8 @@ from delib.errors import DataError
 from delib.gateway import ResponseCache, mock_backend
 from delib.prompting import VARIANTS, Variant
 from delib.parsing import dumps_canonical
-from delib.runner import (GRID_ORDER, compute_run_id, load_manifest,
-                          load_predictions, load_records, run_grid,
-                          run_variant)
+from delib.runner import (compute_run_id, load_manifest, load_predictions,
+                          load_records, run_grid, run_variant)
 from delib.templates import TemplateSet
 
 from conftest import (StopRun, build_corpus, raise_after, stopped_manifest,
@@ -304,38 +303,17 @@ class TestGrid:
     def test_full_grid_order_and_outputs(self, tmp_path):
         corpus = corpus_for_runs()
         manifests = run_grid(corpus, backend(), tmp_path, k=2)
-        assert list(manifests) == list(GRID_ORDER)
+        assert list(manifests) == list(VARIANTS)
         for manifest in manifests.values():
             assert manifest.status == "finished"
             assert manifest.n_records == 32
-        assert len({m.run_id for m in manifests.values()}) == len(GRID_ORDER)
-
-    def test_grid_auto_inserts_zero_shot(self, tmp_path):
-        corpus = corpus_for_runs()
-        manifests = run_grid(corpus, backend(), tmp_path, k=2,
-                             variants=[Variant.FEW_SHOT_ERROR])
-        assert list(manifests) == [Variant.ZERO_SHOT, Variant.FEW_SHOT_ERROR]
-
-    @pytest.mark.parametrize("variant", [Variant.FEW_SHOT_ERROR, Variant.COT_FEW_SHOT_ERROR,
-                                         Variant.COT_FEW_SHOT_ERROR_MULTI_AGENT])
-    def test_error_based_variant_runs_after_zero_shot(self, tmp_path, variant):
-        manifests = run_grid(corpus_for_runs(), backend(), tmp_path, k=2, variants=[variant])
-        assert list(manifests) == [Variant.ZERO_SHOT, variant]
-        assert all(m.status == "finished" for m in manifests.values())
+        assert len({m.run_id for m in manifests.values()}) == len(VARIANTS)
 
     def test_grid_order_runs_zero_shot_before_its_dependents(self):
-        assert GRID_ORDER == tuple(VARIANTS)
+        order = tuple(VARIANTS)
         dependents = [v for v, spec in VARIANTS.items() if spec.needs_zero_shot]
         assert dependents
-        assert all(GRID_ORDER.index(Variant.ZERO_SHOT) < GRID_ORDER.index(v)
-                   for v in dependents)
-
-    def test_grid_subset_without_dependencies(self, tmp_path):
-        corpus = build_corpus([("We should act.", "K1", 1),
-                               ("It rained.", "K1", 0)])
-        manifests = run_grid(corpus, backend(), tmp_path,
-                             variants=[Variant.COT, Variant.ZERO_SHOT])
-        assert list(manifests) == [Variant.ZERO_SHOT, Variant.COT]
+        assert all(order.index(Variant.ZERO_SHOT) < order.index(v) for v in dependents)
 
 
 class TestRecordFiles:
