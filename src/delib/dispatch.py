@@ -15,9 +15,9 @@ differ. When a generator asks first for a prompt that an earlier generator
 asks in a later step, the later one may get the call (`cached` False) and
 the earlier one a cache hit, the other way round from one at a time. A
 run's records and manifest counts are those of one-at-a-time serving all
-the same: a record stores `cached` only when its generator makes a single
-request (a single-agent variant), and in such a run no generator makes a
-later request.
+the same: records store no `cached` flag, and the manifest's `cached`
+count takes only generators that make a single request (single-agent
+variants), so none of them makes a later request.
 
 Overlap starts only against a slow backend (ChatBackend.slow). Against a
 fast one, handing a call to a thread would cost more than it saves, and

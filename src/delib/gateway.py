@@ -82,9 +82,7 @@ class BackendConfig:
 class CompletionResult:
     text: str
     usage: dict | None = None
-    latency_ms: int = 0
     cached: bool = False
-    attempt: int = 0
 
 
 #: json.dumps(value, ensure_ascii=False) for a str.
@@ -258,7 +256,7 @@ class _RateLimiter:
     slot under the lock, then sleeps once, outside it, until that slot."""
 
     def __init__(self, per_minute: float, sleep: Callable[[float], None],
-                 clock: Callable[[], float] = time.monotonic):
+                 clock: Callable[[], float]):
         self.interval = 60.0 / per_minute
         self.sleep = sleep
         self.clock = clock
@@ -402,27 +400,26 @@ class ChatBackend:
     `slow` is true while most of the last RECENT_CALLS transport calls took
     longer than SLOW_CALL_S (their median exceeds it), so neither one outlier
     nor a cold first call sets it. The times are measured with perf_counter
-    and never recorded.
+    and never recorded; `clock` is the one requests_per_minute spaces calls by.
     """
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None,
                  transport: Callable[[Sequence[Message]], tuple[int, dict]] | None = None,
                  sleep: Callable[[float], None] = time.sleep,
                  backoff_base: float = 0.5,
-                 clock: Callable[[], float] = time.perf_counter):
+                 clock: Callable[[], float] = time.monotonic):
         self.config = config
         self.cache = cache if cache is not None else ResponseCache(None)
         self.transport = transport if transport is not None else HttpTransport(config)
         self.sleep = sleep
         self.backoff_base = backoff_base
-        self.clock = clock
         # one token per call allowed on the wire: taken before a transport
         # call and returned after it, so a retry's backoff holds none. A
         # SimpleQueue's get and put run in C; a Semaphore's run in Python.
         self._admission = queue.SimpleQueue()
         for _ in range(config.limits.max_in_flight):
             self._admission.put(None)
-        self._rate = (_RateLimiter(config.limits.requests_per_minute, sleep)
+        self._rate = (_RateLimiter(config.limits.requests_per_minute, sleep, clock)
                       if config.limits.requests_per_minute is not None else None)
         self._keys = CacheKeys(config)
         self._recent = 0  # bit i: the (i+1)-th most recent transport call was slow
@@ -455,26 +452,24 @@ class ChatBackend:
         """
         if key is None:
             key = self.key(messages)
-        start = self.clock()
         if attempt is not None:
-            return self._attempt(messages, key, attempt, start)
+            return self._attempt(messages, key, attempt)
         entry = self.cache.get(self.config.name, key)
         if entry is not None:
-            return CompletionResult(
-                text=entry["text"], usage=entry.get("usage"),
-                latency_ms=int((self.clock() - start) * 1000),
-                cached=True, attempt=0)
+            return CompletionResult(entry["text"], entry.get("usage"), cached=True)
         attempt = 0
         while True:
             try:
-                return self._attempt(messages, key, attempt, start)
+                return self._attempt(messages, key, attempt)
             except _Transient:
                 attempt += 1
                 self.sleep(self.backoff(attempt))
 
-    def _attempt(self, messages: Sequence[Message], key: str, attempt: int,
-                 start: float) -> CompletionResult:
-        """One admitted transport call for a cache miss; its response is cached."""
+    def _attempt(self, messages: Sequence[Message], key: str,
+                 attempt: int) -> CompletionResult:
+        """One admitted transport call for a cache miss; its response is
+        cached. A null content (a reasoning model can spend its whole token
+        budget thinking) is the empty response."""
         if self._rate is not None:
             self._rate.admit()
         self._admission.get()
@@ -493,14 +488,15 @@ class ChatBackend:
         self._note_call(time.perf_counter() - sent)
         try:
             text = body["choices"][0]["message"]["content"]
+            if text is None:
+                text = ""
+            elif type(text) is not str:
+                raise TypeError("content is not a string")
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion body: {body!r:.300}") from exc
-        entry = {"key": key, "text": text, "usage": body.get("usage")}
-        self.cache.put(self.config.name, key, entry)
-        return CompletionResult(
-            text=text, usage=body.get("usage"),
-            latency_ms=int((self.clock() - start) * 1000),
-            cached=False, attempt=attempt)
+        usage = body.get("usage")
+        self.cache.put(self.config.name, key, {"key": key, "text": text, "usage": usage})
+        return CompletionResult(text, usage)
 
 
 @dataclass
@@ -557,6 +553,5 @@ def mock_backend(rules: Sequence[MockRule] = (), default: str | None = None,
                  limits: Limits = Limits()) -> ChatBackend:
     """Deterministic scripted backend that can drive the whole pipeline."""
     config = BackendConfig(name=name, model=model, decoding=decoding, limits=limits)
-    # fixed clock: scripted runs report latency 0, keeping records reproducible
     return ChatBackend(config, cache=cache, transport=ScriptedTransport(rules, default),
-                       sleep=lambda _t: None, clock=lambda: 0.0)
+                       sleep=lambda _t: None)

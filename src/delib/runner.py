@@ -258,11 +258,12 @@ def run_variant(
 
     pending = [s for s in scope if s.id not in existing]
 
-    def commit(record: dict) -> None:
+    def commit(result: tuple[dict, bool]) -> None:
+        record, cached = result
         record["run_id"] = run_id
         records_fh.write(dumps_canonical(record) + "\n")
         manifest.dispatched += 1
-        manifest.cached += record.get("cached", 0)
+        manifest.cached += cached
         if record["final_label"] is None:
             manifest.schema_failures += 1
         manifest.n_records += 1
@@ -293,7 +294,8 @@ def run_variant(
 
 def _dispatch_steps(sentence, variant: Variant, example_set: ExampleSet | None,
                     templates: TemplateSet, repair_policy: str) -> Steps:
-    """Steps of one sentence under one variant; returns its record."""
+    """Steps of one sentence under one variant; returns its record and
+    whether a single-agent completion came from the cache."""
     record: dict = {"sentence_id": sentence.id, "variant": variant.value}
     spec = VARIANTS[variant]
     bundle = spec.prompt(sentence, example_set, templates)
@@ -305,25 +307,23 @@ def _dispatch_steps(sentence, variant: Variant, example_set: ExampleSet | None,
         except OrchestrationFailure as failure:
             record.update(final_label=None,
                           failure=f"{failure.role}: {failure.reason}")
-            return record
+            return record, False
         record.update(final_label=trace.final_label, trace=trace.to_dict())
-        return record
+        return record, False
 
     outcome = yield from classify_steps(bundle, repair_policy)
     completion = outcome.completion
-    record["cached"] = int(completion.cached)
-    record["latency_ms"] = completion.latency_ms
     record["raw_digest"] = hashlib.sha256(completion.text.encode()).hexdigest()[:16]
     if outcome.prediction is None:
         record.update(final_label=None, failure=outcome.failure)
-        return record
+        return record, completion.cached
     pred = outcome.prediction
     record["final_label"] = pred.label
     record["repairs"] = pred.repairs
     if pred.step1 is not None:
         record["step1"] = pred.step1
         record["step2"] = pred.step2
-    return record
+    return record, completion.cached
 
 
 def run_grid(corpus: Corpus, backend: ChatBackend, runs_dir: str | Path,

@@ -138,7 +138,7 @@ class TestAcceptance:
     def test_determinism_and_resumability(self, kept_corpus, tmp_path):
         """Full mock grid, interrupted and resumed, is byte-identical in
         records and reports to an uninterrupted grid; a warm-cache rerun
-        makes zero backend calls."""
+        makes zero backend calls and writes the same records."""
         dir_a, dir_b, dir_c = (tmp_path / n for n in ("resumed", "straight", "warm"))
 
         backend_a = mock_backend(universal_mock_rules())
@@ -167,8 +167,13 @@ class TestAcceptance:
             assert metrics_csv(reports_a) == metrics_csv(reports_b), variant
 
         backend_warm = mock_backend(universal_mock_rules(), cache=cache)
-        run_grid(kept_corpus, backend_warm, dir_c)
+        manifests_c = run_grid(kept_corpus, backend_warm, dir_c)
         assert backend_warm.transport.calls == 0
+        for variant, manifest_c in manifests_c.items():
+            run_id = manifests_b[variant].run_id
+            assert manifest_c.run_id == run_id
+            rec_b = (dir_b / run_id / "records.jsonl").read_bytes()
+            assert (dir_c / run_id / "records.jsonl").read_bytes() == rec_b, variant
         ok("determinism: grid resume byte-identical, warm rerun made 0 calls")
 
     def test_end_to_end_sanity(self, kept_corpus, tmp_path):

@@ -296,7 +296,6 @@ class TestRetries:
     def test_twice_429_then_success(self):
         backend, sleeps = self._backend(["HTTP 429", "HTTP 429"])
         result = backend.complete(MSGS)
-        assert result.attempt == 2
         assert result.cached is False
         assert backend.transport.calls == 3
 
@@ -343,9 +342,45 @@ class TestCompleteCaching:
         backend = ChatBackend(BackendConfig(name="mock", model="m"),
                               transport=ScriptedTransport([rule]),
                               sleep=lambda _t: None)
-        result = backend.complete(MSGS)
-        assert result.attempt == 1
+        assert backend.complete(MSGS).cached is False
+        assert backend.transport.calls == 2
         assert backend.complete(MSGS).cached is True
+
+
+def content_backend(content, cache):
+    """A backend whose every completion body has this message content."""
+    def transport(_messages):
+        return 200, {"choices": [{"message": {"role": "assistant", "content": content}}]}
+    return ChatBackend(BackendConfig(name="content", model="m"), cache=cache,
+                       transport=transport, sleep=lambda _t: None)
+
+
+class TestCompletionContent:
+    def test_null_content_is_an_empty_response(self, tmp_path):
+        """A reasoning model that spends its token budget thinking answers
+        with null content: the sentence gets a SCHEMA_FAILURE record, and the
+        cached empty text serves a rerun."""
+        corpus = build_corpus([("We should act.", "K1", 1)])
+        backend = content_backend(None, ResponseCache(tmp_path / "cache"))
+        manifest = run_variant(corpus, Variant.ZERO_SHOT, backend, tmp_path / "runs")
+        record = json.loads((tmp_path / "runs" / manifest.run_id / "records.jsonl").read_text())
+        assert record["final_label"] is None
+        assert record["failure"] == "no parsable JSON object in response"
+        assert manifest.schema_failures == 1
+        [entry] = (tmp_path / "cache").rglob("*.json")
+        assert json.loads(entry.read_text())["text"] == ""
+        # a malformed body if it reached the transport: the rerun is served from the cache
+        again = content_backend(0, ResponseCache(tmp_path / "cache"))
+        rerun = run_variant(corpus, Variant.ZERO_SHOT, again, tmp_path / "rerun")
+        assert rerun.cached == 1 and rerun.schema_failures == 1
+
+    @pytest.mark.parametrize("content", [0, True, ["text"], {"text": "x"}])
+    def test_other_content_is_malformed_and_not_cached(self, tmp_path, content):
+        backend = content_backend(content, ResponseCache(tmp_path))
+        with pytest.raises(TransportError, match="malformed completion body"):
+            backend.complete(MSGS)
+        assert list(tmp_path.rglob("*")) == []
+        assert backend.cache.get("content", backend.key(MSGS)) is None
 
 
 class TestAuth:
@@ -467,6 +502,28 @@ class TestConcurrency:
         limiter.admit()  # after an idle spell...
         limiter.admit()  # ...the next call still waits a whole interval: no burst
         assert waits == [30.0]
+
+    def test_backend_spaces_calls_by_its_clock(self):
+        """complete() admits transport calls 60/rate seconds apart on the
+        backend's clock; a cache hit takes no slot."""
+        now, waits, sent = [100.0], [], []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            now[0] += seconds
+
+        def transport(_messages):
+            sent.append(now[0])
+            return 200, {"choices": [{"message": {"content": "ok"}}]}
+
+        config = BackendConfig(name="paced", model="m",
+                               limits=Limits(requests_per_minute=120))
+        backend = ChatBackend(config, transport=transport, sleep=sleep,
+                              clock=lambda: now[0])
+        for i in (0, 1, 1, 2, 3):
+            backend.complete([{"role": "user", "content": f"call {i}"}])
+        assert sent == [100.0, 100.5, 101.0, 101.5]
+        assert waits == [0.5, 0.5, 0.5]
 
     def test_rate_limited_mock_run_does_not_spin(self, tmp_path):
         """A mock backend's sleep returns at once; the limiter must not turn
