@@ -149,12 +149,10 @@ def _agent_step(role: str, bundle: PromptBundle, repair_policy: str) -> Steps:
 
 
 def majority_vote_steps(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES,
-                        repair_policy: str = "LENIENT",
-                        first: PromptBundle | None = None) -> Steps:
+                        repair_policy: str = "LENIENT", *, first: PromptBundle) -> Steps:
     """Step generator for run_majority_vote(); returns the AgentTrace.
-    first is the first vote's prompt, by default the zero-shot one."""
-    step1, pred1 = yield from _agent_step(
-        PREDICTOR, first or render_zero_shot(sentence, templates), repair_policy)
+    first is the first vote's prompt."""
+    step1, pred1 = yield from _agent_step(PREDICTOR, first, repair_policy)
     second_bundle = render_prompt("vote_second", sentence, templates, first_label=pred1.label)
     step2, pred2 = yield from _agent_step(SECOND, second_bundle, repair_policy)
     if pred1.label == pred2.label:
@@ -171,19 +169,17 @@ def run_majority_vote(sentence: Sentence, backend: ChatBackend,
                       templates: TemplateSet = DEFAULT_TEMPLATES,
                       repair_policy: str = "LENIENT") -> AgentTrace:
     """Two zero-shot-style votes; a third agent breaks ties."""
-    return drive(majority_vote_steps(sentence, templates, repair_policy), backend.complete)
+    return drive(majority_vote_steps(sentence, templates, repair_policy,
+                                     first=render_zero_shot(sentence, templates)),
+                 backend.complete)
 
 
 def predictor_critic_judge_steps(
-    sentence: Sentence,
-    templates: TemplateSet = DEFAULT_TEMPLATES,
-    repair_policy: str = "LENIENT",
-    first: PromptBundle | None = None,
-) -> Steps:
+        sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES,
+        repair_policy: str = "LENIENT", *, first: PromptBundle) -> Steps:
     """Step generator for run_predictor_critic_judge(); returns the AgentTrace.
-    first is the predictor's prompt, by default the CoT one."""
-    predictor_bundle = first or render_cot(sentence, templates)
-    step_p, pred = yield from _agent_step(PREDICTOR, predictor_bundle, repair_policy)
+    first is the predictor's prompt."""
+    step_p, pred = yield from _agent_step(PREDICTOR, first, repair_policy)
 
     critic_bundle = render_prompt("critic", sentence, templates, step1=pred.step1,
                                   step2=pred.step2, predictor_label=pred.label)
@@ -219,8 +215,9 @@ def run_predictor_critic_judge(sentence: Sentence, backend: ChatBackend,
                                repair_policy: str = "LENIENT",
                                first: PromptBundle | None = None) -> AgentTrace:
     """Predictor (first, by default CoT), critic review, judge only on disagreement."""
-    return drive(predictor_critic_judge_steps(sentence, templates, repair_policy, first),
-                 backend.complete)
+    return drive(predictor_critic_judge_steps(
+        sentence, templates, repair_policy, first=first or render_cot(sentence, templates)),
+        backend.complete)
 
 
 #: The step generator of each VariantSpec.agents orchestration.

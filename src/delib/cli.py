@@ -99,12 +99,24 @@ def _load_run(settings, run_id: str) -> tuple[Path, runner.RunManifest]:
     return run_dir, runner.load_manifest(run_dir)
 
 
-def _score_run(settings, run_id: str, corpus: corpus_mod.Corpus, per_batch: bool = True,
-               failures_as_negative: bool = False) -> tuple[runner.RunManifest, list]:
-    """A run's manifest and its MetricsReports over the corpus sentences of
-    its batches: ALL, then each batch when per_batch."""
-    run_dir, manifest = _load_run(settings, run_id)
-    return manifest, evaluation.evaluate_run(
+def _load_runs(settings, run_ids: str) -> list[tuple[Path, runner.RunManifest]]:
+    """_load_run of each comma-separated run id (or directory); a run named
+    twice is a usage error."""
+    runs = {}
+    for run_id in run_ids.split(","):
+        run_dir, manifest = _load_run(settings, run_id.strip())
+        if manifest.run_id in runs:
+            raise click.BadParameter(f"run {manifest.run_id} is named twice",
+                                     param_hint="'--runs'")
+        runs[manifest.run_id] = run_dir, manifest
+    return list(runs.values())
+
+
+def _score_run(run_dir: Path, manifest: runner.RunManifest, corpus: corpus_mod.Corpus,
+               per_batch: bool = True, failures_as_negative: bool = False) -> list:
+    """A run's MetricsReports over the corpus sentences of its batches:
+    ALL, then each batch when per_batch."""
+    return evaluation.evaluate_run(
         runner.load_predictions(run_dir), corpus_mod.filter_batches(corpus, manifest.batches),
         ["ALL"] + (manifest.batches if per_batch else []), failures_as_negative)
 
@@ -126,8 +138,9 @@ def _write_reports(out_dir: str | Path, what: str, files: dict[str, str]) -> Non
 @click.pass_obj
 def eval_cmd(settings, run_id, corpus_path, per_batch, failures_as_negative):
     """Metrics for one run (combined, optionally per batch)."""
-    manifest, reports = _score_run(settings, run_id, corpus_mod.parse_dataset(corpus_path),
-                                   per_batch, failures_as_negative)
+    run_dir, manifest = _load_run(settings, run_id)
+    reports = _score_run(run_dir, manifest, corpus_mod.parse_dataset(corpus_path),
+                         per_batch, failures_as_negative)
     text = evaluation.metrics_text(reports)
     click.echo(text)
     _write_reports(settings.reports_dir / manifest.run_id, "reports", {
@@ -148,8 +161,8 @@ def compare(settings, run_ids, corpus_path, out_dir):
     combined: dict[str, evaluation.MetricsReport] = {}
     groups: dict[str, str] = {}
     per_batch: dict[str, list[evaluation.MetricsReport]] = {}
-    for run_id in run_ids.split(","):
-        manifest, reports = _score_run(settings, run_id.strip(), corpus)
+    for run_dir, manifest in _load_runs(settings, run_ids):
+        reports = _score_run(run_dir, manifest, corpus)
         label = f"{manifest.variant} [{manifest.run_id}]"
         groups[label] = manifest.backend_name
         combined[label] = reports[0]
@@ -173,8 +186,8 @@ def compare(settings, run_ids, corpus_path, out_dir):
 def analyze(settings, run_ids, corpus_path, out_dir, top_verbs):
     """Easy sets and the linguistic indicator tables."""
     corpus = corpus_mod.parse_dataset(corpus_path)
-    run_predictions = [runner.load_predictions(_load_run(settings, run_id.strip())[0])
-                       for run_id in run_ids.split(",")]
+    run_predictions = [runner.load_predictions(run_dir)
+                       for run_dir, _manifest in _load_runs(settings, run_ids)]
     lexicons = indicators.load_lexicons(settings.lexicon_dir)
     easy = indicators.build_easy_sets(run_predictions, corpus)
     by_id = corpus.by_id()

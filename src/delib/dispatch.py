@@ -13,11 +13,9 @@ before it are done. Every request gets the text that serving the stream one
 generator at a time would give it; only a completion's `cached` flag can
 differ. When a generator asks first for a prompt that an earlier generator
 asks in a later step, the later one may get the call (`cached` False) and
-the earlier one a cache hit, the other way round from one at a time. A
-run's records and manifest counts are those of one-at-a-time serving all
-the same: records store no `cached` flag, and the manifest's `cached`
-count takes only generators that make a single request (single-agent
-variants), so none of them makes a later request.
+the earlier one a cache hit, the other way round from one at a time. The
+backend's count of cache hits is the same either way, since each distinct
+missing prompt is called once.
 
 Overlap starts only against a slow backend (ChatBackend.slow). Against a
 fast one, handing a call to a thread would cost more than it saves, and

@@ -401,6 +401,7 @@ class ChatBackend:
     longer than SLOW_CALL_S (their median exceeds it), so neither one outlier
     nor a cold first call sets it. The times are measured with perf_counter
     and never recorded; `clock` is the one requests_per_minute spaces calls by.
+    `hits` counts the completions the cache has answered.
     """
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None,
@@ -425,6 +426,8 @@ class ChatBackend:
         self._recent = 0  # bit i: the (i+1)-th most recent transport call was slow
         self._recent_lock = threading.Lock()
         self.slow = False
+        self.hits = 0
+        self._hits_lock = threading.Lock()
 
     def _note_call(self, seconds: float) -> None:
         with self._recent_lock:
@@ -456,6 +459,8 @@ class ChatBackend:
             return self._attempt(messages, key, attempt)
         entry = self.cache.get(self.config.name, key)
         if entry is not None:
+            with self._hits_lock:
+                self.hits += 1
             return CompletionResult(entry["text"], entry.get("usage"), cached=True)
         attempt = 0
         while True:

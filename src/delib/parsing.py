@@ -105,10 +105,22 @@ def _first_balanced_object(text: str) -> str | None:
 
 def _repaired(text: str, repairs: list[str]):
     """The JSON value LENIENT recovers from a stripped response that is not
-    JSON as it stands, or None: the fenced value, else the first balanced
+    JSON as it stands, or None: after a leading <think> block, the rest
+    parsed as a response; else the fenced value, else the first balanced
     object. A JSON object that the scanner decodes at the first "{" is that
     balanced object, so the character loop runs only when that scan fails
     and the balanced object may start at a later "{"."""
+    if text.startswith("<think>"):
+        end = text.find("</think>")
+        if end == -1:
+            raise SchemaError("unterminated <think> block")
+        repairs.append("think-strip")
+        text = text[end + len("</think>"):].lstrip()
+        try:
+            obj, end = scan_json(text, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        return obj if end == len(text) else _repaired(text, repairs)
     obj = None
     fenced = _FENCE.match(text)
     if fenced:
@@ -157,9 +169,11 @@ def parse_prediction(raw: str, expected_schema: str, repair_policy: str = LENIEN
     """Parse a model response against a schema tag.
 
     STRICT accepts exactly one well-formed JSON object carrying exactly the
-    schema's fields. LENIENT additionally strips markdown fences, extracts
-    the first balanced object from surrounding prose, coerces "0"/"1" and
-    booleans, and tolerates extra fields; applied repairs are recorded.
+    schema's fields, so it rejects a response with a <think> block.
+    LENIENT additionally cuts a leading <think>...</think> block, strips
+    markdown fences, extracts the first balanced object from surrounding
+    prose, coerces "0"/"1" and booleans, and tolerates extra fields;
+    applied repairs are recorded.
     """
     if expected_schema not in SCHEMA_FIELDS:
         raise SchemaError(f"unknown schema tag: {expected_schema!r}")

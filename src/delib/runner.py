@@ -206,7 +206,9 @@ def run_variant(
     failure to build one stops the run before it writes any record. Then
     backend calls for several sentences may be in flight at once (up to the
     backend's max_in_flight), but records are written in scope order and
-    are the same as when sentences are dispatched one at a time.
+    are the same as when sentences are dispatched one at a time. The
+    manifest's `cached` is the number of completions the backend's cache
+    answered during this call.
     """
     if k < 1:
         raise DataError(f"k must be at least 1, got {k}")
@@ -257,13 +259,12 @@ def run_variant(
     manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
 
     pending = [s for s in scope if s.id not in existing]
+    hits = backend.hits
 
-    def commit(result: tuple[dict, bool]) -> None:
-        record, cached = result
+    def commit(record: dict) -> None:
         record["run_id"] = run_id
         records_fh.write(dumps_canonical(record) + "\n")
         manifest.dispatched += 1
-        manifest.cached += cached
         if record["final_label"] is None:
             manifest.schema_failures += 1
         manifest.n_records += 1
@@ -288,14 +289,14 @@ def run_variant(
         manifest.status = "interrupted"
         raise
     finally:
+        manifest.cached = backend.hits - hits
         manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
     return manifest
 
 
 def _dispatch_steps(sentence, variant: Variant, example_set: ExampleSet | None,
                     templates: TemplateSet, repair_policy: str) -> Steps:
-    """Steps of one sentence under one variant; returns its record and
-    whether a single-agent completion came from the cache."""
+    """Steps of one sentence under one variant; returns its record."""
     record: dict = {"sentence_id": sentence.id, "variant": variant.value}
     spec = VARIANTS[variant]
     bundle = spec.prompt(sentence, example_set, templates)
@@ -305,25 +306,23 @@ def _dispatch_steps(sentence, variant: Variant, example_set: ExampleSet | None,
             trace = yield from ORCHESTRATIONS[spec.agents](
                 sentence, templates, repair_policy, first=bundle)
         except OrchestrationFailure as failure:
-            record.update(final_label=None,
-                          failure=f"{failure.role}: {failure.reason}")
-            return record, False
-        record.update(final_label=trace.final_label, trace=trace.to_dict())
-        return record, False
+            record.update(final_label=None, failure=f"{failure.role}: {failure.reason}")
+        else:
+            record.update(final_label=trace.final_label, trace=trace.to_dict())
+        return record
 
     outcome = yield from classify_steps(bundle, repair_policy)
-    completion = outcome.completion
-    record["raw_digest"] = hashlib.sha256(completion.text.encode()).hexdigest()[:16]
+    record["raw_digest"] = hashlib.sha256(outcome.completion.text.encode()).hexdigest()[:16]
     if outcome.prediction is None:
         record.update(final_label=None, failure=outcome.failure)
-        return record, completion.cached
+        return record
     pred = outcome.prediction
     record["final_label"] = pred.label
     record["repairs"] = pred.repairs
     if pred.step1 is not None:
         record["step1"] = pred.step1
         record["step2"] = pred.step2
-    return record, completion.cached
+    return record
 
 
 def run_grid(corpus: Corpus, backend: ChatBackend, runs_dir: str | Path,

@@ -65,13 +65,14 @@ class TemplateSet:
                 compiled[-1] += self.load("definitions").rstrip("\n") + literal
             else:
                 compiled += [key, literal]
-        if len(compiled) == 1:
-            _check_resolved(name, compiled[0])  # the same output every time
+        for literal in compiled[::2]:
+            _check_resolved(name, literal)
         self._compiled[name] = tuple(compiled)
         return self._compiled[name]
 
     def render(self, name: str, **values) -> str:
-        """The template with each {{key}} replaced by str(values[key]).
+        """The template with each {{key}} replaced by str(values[key]),
+        inserted verbatim.
 
         A template is split into literals and keys on its first render; one
         without keys renders to the same string object every time.
@@ -85,16 +86,13 @@ class TemplateSet:
             if key not in values:
                 raise ConfigError(f"template {name!r}: missing value for {{{{{key}}}}}")
             chunks[i] = str(values[key])
-        rendered = "".join(chunks)
-        if "{" in rendered:
-            _check_resolved(name, rendered)
-        return rendered
+        return "".join(chunks)
 
 
-def _check_resolved(name: str, rendered: str) -> None:
-    """Reject output that still holds a placeholder, such as one a value
-    brought in."""
-    leftover = _PLACEHOLDER.search(rendered)
+def _check_resolved(name: str, literal: str) -> None:
+    """Reject a template literal that still holds a placeholder, such as
+    one the inlined definitions brought in."""
+    leftover = _PLACEHOLDER.search(literal)
     if leftover:
         raise ConfigError(f"template {name!r}: unresolved placeholder {leftover.group(0)}")
 

@@ -187,6 +187,16 @@ class TestRunEvalCompare:
         assert (out_dir / "per_batch_series.csv").read_text().startswith(
             "run,batch,precision,recall")
 
+    def test_compare_of_a_run_named_twice_is_usage_error(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert self._run(config, data) == 0
+        zs = self._latest_run_id(tmp_path, "zero_shot-")
+        capsys.readouterr()
+        assert invoke(config, "compare", "--runs", f"{zs}, {zs}", "--corpus", data) == 1
+        captured = capsys.readouterr()
+        assert f"run {zs} is named twice" in captured.err
+        assert "ZERO_SHOT" not in captured.out
+
     def test_error_variant_without_dependency(self, workspace, capsys):
         _, config, data = workspace
         code = self._run(config, data, variant="FEW_SHOT_ERROR")
@@ -282,6 +292,41 @@ class TestRunEvalCompare:
         assert run_dir.name == api.run_id
         assert api.batches == ["K1"]
 
+    def _recorded_run(self, monkeypatch, config, data, variant, backend):
+        """Run the variant twice (the second run resumes a finished run);
+        returns the user message of each completion sent."""
+        prompts = []
+
+        def recording_backend(settings, name):
+            built = build_backend(settings, name)
+            transport = built.transport
+            built.transport = lambda messages: (prompts.append(messages[-1]["content"])
+                                                or transport(messages))
+            return built
+
+        monkeypatch.setattr("delib.cli.build_backend", recording_backend)
+        for _ in range(2):
+            assert self._run(config, data, variant=variant, backend=backend) == 0
+        return prompts
+
+    def test_placeholder_in_an_answer_is_sent_verbatim(self, workspace, monkeypatch):
+        _, config, data = workspace
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "default_response: {step1: a,", "default_response: {step1: 'weigh {{policy}}',"),
+            encoding="utf-8")
+        prompts = self._recorded_run(monkeypatch, config, data, "COT_MULTI_AGENT", "critic")
+        critic = [p for p in prompts if "weigh {{policy}}" in p]
+        assert len(critic) == len(parse_dataset(data).sentences)
+
+    def test_placeholder_in_a_sentence_is_sent_verbatim(self, workspace, monkeypatch):
+        _, config, data = workspace
+        with data.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"batch": "K1", "text": "We should read {{sentence}} here.",
+                                 "label": 1}) + "\n")
+        prompts = self._recorded_run(monkeypatch, config, data, "ZERO_SHOT", "echo")
+        assert len(prompts) == 7
+        assert sum("We should read {{sentence}} here." in p for p in prompts) == 1
+
     def test_run_is_resumable_via_cache(self, workspace, capsys):
         tmp_path, config, data = workspace
         assert self._run(config, data) == 0
@@ -340,6 +385,17 @@ class TestAnalyzeAndDisagreements:
         run_id = [p.name for p in (tmp_path / "runs").iterdir()][0]
         assert invoke(config, "analyze", "--runs", run_id,
                       "--corpus", data) == 4
+
+    def test_analyze_of_a_run_named_twice_is_usage_error(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert invoke(config, "run", "--variant", "ZERO_SHOT",
+                      "--backend", "echo", "--corpus", data) == 0
+        run_id = [p.name for p in (tmp_path / "runs").iterdir()][0]
+        capsys.readouterr()
+        # once by id and once by directory
+        assert invoke(config, "analyze", "--runs", f"{run_id},{tmp_path / 'runs' / run_id}",
+                      "--corpus", data) == 1
+        assert f"run {run_id} is named twice" in capsys.readouterr().err
 
     def test_disagreements_requires_traces(self, workspace, capsys):
         tmp_path, config, data = workspace

@@ -21,8 +21,8 @@ from delib.dispatch import run_window
 from delib.gateway import (RECENT_CALLS, SLOW_CALL_S, BackendConfig, ChatBackend,
                            HttpTransport, Limits, MockRule, ResponseCache,
                            ScriptedTransport, _Transient, drive, mock_backend)
-from delib.prompting import Variant
-from delib.runner import run_grid, run_variant
+from delib.prompting import VARIANTS, Variant
+from delib.runner import load_records, run_grid, run_variant
 
 from conftest import StopRun, raise_after, stopped_manifest, universal_mock_rules
 
@@ -131,6 +131,7 @@ def serial_grid(tmp_path_factory):
     # The grid exercises what concurrency must not change: repeated texts
     # served from the cache, transient faults, and excluded examples.
     assert manifests[Variant.ZERO_SHOT].cached >= 3
+    assert all(manifests[v].cached > 0 for v in VARIANTS if VARIANTS[v].agents)
     assert not rules[1].faults
     assert excluded
     return run_files(runs, manifests), backend.transport.calls
@@ -145,6 +146,32 @@ class TestConcurrentGrid:
         assert run_files(tmp_path, manifests) == expected
         assert backend.transport.calls == serial_calls
         assert backend.transport.max_in_flight == max_in_flight
+
+    def test_warm_grid_counts_every_completion_as_cached(self, tmp_path):
+        """Over a filled cache, a run's `cached` is every completion it
+        makes: one per single-agent record, each step of a multi-agent
+        trace, and the example reasoning of a reasoned-error variant."""
+        cache = ResponseCache(None)
+        run_grid(dispatch_corpus(), mock_backend(scripted_rules(), cache=cache),
+                 tmp_path / "cold", k=2)
+        backend = mock_backend(scripted_rules(), cache=cache)
+        manifests = run_grid(dispatch_corpus(), backend, tmp_path / "warm", k=2)
+        assert backend.transport.calls == 0
+
+        def completions(variant):
+            records = load_records(tmp_path / "warm" / manifests[variant].run_id).values()
+            return sum(len(r["trace"]["steps"]) if "trace" in r else 1 for r in records)
+
+        zero_shot = manifests[Variant.ZERO_SHOT]
+        assert zero_shot.cached == zero_shot.n_records == len(dispatch_corpus())
+        reasoning = manifests[Variant.COT_FEW_SHOT_ERROR].cached - completions(
+            Variant.COT_FEW_SHOT_ERROR)
+        assert reasoning > 0
+        for variant, spec in VARIANTS.items():
+            if spec.agents:
+                assert completions(variant) > zero_shot.n_records
+            assert manifests[variant].cached == completions(variant) + (
+                reasoning if spec.examples == "reasoned_error" else 0), variant
 
     def test_interrupt_then_resume_byte_identical(self, serial_grid, tmp_path):
         expected, _ = serial_grid
@@ -300,6 +327,34 @@ def test_transport_counters_survive_threads(kind, monkeypatch):
     assert transport.calls == n_threads * per_thread
     if rule is not None:
         assert len(faults) == n_faults and not rule.faults
+
+
+def test_cache_hit_count_survives_threads():
+    """More threads than cores and a short switch interval: a lost update
+    to the backend's count of cache hits would break the total."""
+    n_threads, per_thread = 8, 250
+    backend = mock_backend(default="{}")
+    messages = [{"role": "user", "content": "x"}]
+    backend.complete(messages)
+    assert backend.hits == 0
+
+    def worker():
+        for _ in range(per_thread):
+            backend.complete(messages)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert backend.hits == n_threads * per_thread
+    assert backend.transport.calls == 1
 
 
 class LoggedTransport:

@@ -132,7 +132,8 @@ _ref_scan = json.JSONDecoder().scan_once
 
 def reference_parse(raw, expected_schema, repair_policy=LENIENT):
     """parse_prediction before the scanner-first object extraction and the
-    type-exact label and field shortcuts; returns the prediction's fields."""
+    type-exact label and field shortcuts, with its <think> block cut as a
+    plain recursion; returns the prediction's fields."""
     if expected_schema not in SCHEMA_FIELDS:
         raise SchemaError(f"unknown schema tag: {expected_schema!r}")
     lenient = repair_policy == LENIENT
@@ -145,6 +146,14 @@ def reference_parse(raw, expected_schema, repair_policy=LENIENT):
         end = -1
     if end != len(text):
         obj = None
+        if lenient and text.startswith("<think>"):
+            close = text.find("</think>")
+            if close == -1:
+                raise SchemaError("unterminated <think> block")
+            result = reference_parse(text[close + len("</think>"):], expected_schema,
+                                     repair_policy)
+            result["repairs"].insert(0, "think-strip")
+            return result
         if lenient:
             fenced = _REF_FENCE.match(text)
             if fenced:
@@ -248,7 +257,7 @@ def _response(draw):
     body = json.dumps(obj, ensure_ascii=draw(st.booleans()),
                       indent=draw(st.sampled_from([None, None, 2])))
     shape = draw(st.sampled_from(["clean", "fenced", "prose", "fenced prose", "truncated",
-                                  "garbage", "two", "non-object", "raw-text"]))
+                                  "garbage", "two", "non-object", "raw-text", "thinking"]))
     if shape == "fenced":
         body = "```" + draw(st.sampled_from(["json", "", "JSON"])) + "\n" + body + "\n```"
     elif shape == "prose":
@@ -266,6 +275,9 @@ def _response(draw):
                                     '[{"deliberative": 1}]', "NaN", '"{\\"deliberative\\": 1}"']))
     elif shape == "raw-text":
         body = draw(st.text(st.sampled_from('{}"\\: abdeilrtv01,'), max_size=30))
+    elif shape == "thinking":
+        body = (draw(st.sampled_from(["<think>", "<think>\n"])) + draw(_PROSE)
+                + draw(st.sampled_from(["</think>", "</think>\n\n", "", "</think"])) + body)
     padding = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x85\xa0\u2028\u3000\ufeff"), max_size=3)
     return draw(padding) + body + draw(padding), schema, draw(st.sampled_from([STRICT, LENIENT]))
 

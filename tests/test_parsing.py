@@ -293,3 +293,51 @@ class TestScannerEquivalence:
     def test_fixed_cases(self, raw, policy):
         assert _outcome(parse_prediction, raw, "SIMPLE", policy) == \
             _outcome(reference_parse, raw, "SIMPLE", policy)
+
+
+# -- a thinking block before the answer ------------------------------------
+
+#: Thinking text without "</think>": braces, quotes, fences, newlines, a
+#: nested "<think>" and whole or partial answers included.
+_THOUGHT = st.lists(st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.sampled_from(["{", "}", '"', "\\", "\n", "```", "```json\n", "<think>", "</think",
+                     '{"deliberative": 1}', '{"step1": "x"}', '{"step1": "x", '])),
+    max_size=12).map("".join).filter(lambda thought: "</think>" not in thought)
+
+
+class TestThinkStrip:
+    def test_an_object_in_the_thinking_is_not_the_answer(self):
+        raw = ('<think>\nThe user wants JSON like {"deliberative": 1} but this sentence '
+               'is a fact.\n</think>\n\n{"deliberative": 0}')
+        pred = parse_prediction(raw, "SIMPLE", LENIENT)
+        assert (pred.label, pred.repairs) == (0, ["think-strip"])
+
+    def test_a_partial_object_in_the_thinking_is_not_the_answer(self):
+        raw = ('<think>\nI could start with {"step1": "The memo proposes"} and go on.\n'
+               '</think>\n{"step1": "It weighs options.", "step2": "Advice, not a decision.",'
+               ' "deliberative": 1}')
+        pred = parse_prediction(raw, "COT", LENIENT)
+        assert (pred.label, pred.step1, pred.repairs) == (1, "It weighs options.",
+                                                          ["think-strip"])
+
+    def test_unterminated_block(self):
+        with pytest.raises(SchemaError, match="unterminated <think> block"):
+            parse_prediction('<think>\nhmm {"deliberative": 1}', "SIMPLE", LENIENT)
+
+    def test_strict_rejects_thinking(self):
+        with pytest.raises(SchemaError, match="no parsable JSON object"):
+            parse_prediction('<think>x</think>{"deliberative": 1}', "SIMPLE", STRICT)
+
+    @settings(deadline=None)
+    @given(case=_response(), thought=_THOUGHT,
+           gap=st.text(st.sampled_from(" \t\n\r\u3000"), max_size=3))
+    def test_parses_like_the_answer(self, case, thought, gap):
+        """<think>T</think>, whitespace, then R parses as R does, with
+        think-strip first in the repairs, or fails for the same reason."""
+        raw, schema, _policy = case
+        expected = _outcome(parse_prediction, raw, schema, LENIENT)
+        if expected[0] == "ok":
+            expected[2]["repairs"].insert(0, "think-strip")
+        assert _outcome(parse_prediction, f"<think>{thought}</think>{gap}{raw}",
+                        schema, LENIENT) == expected

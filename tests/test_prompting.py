@@ -180,12 +180,14 @@ class TestGoldenSnapshots:
     def test_agent_snapshots(self):
         target = make_sentence('We should "expand" the pilot program.', "K1", 1)
         _zero, second, tiebreak = self._agent_prompts(
-            majority_vote_steps(target),
+            majority_vote_steps(target, first=VARIANTS[Variant.MULTI_AGENT].prompt(
+                target, None, DEFAULT_TEMPLATES)),
             ['{"deliberative": 1}', '{"deliberative": 0}', '{"deliberative": 1}'])
         self._check_messages("vote_second", second)
         self._check_messages("vote_tiebreak", tiebreak)
         _cot, critic, judge = self._agent_prompts(
-            predictor_critic_judge_steps(target), [
+            predictor_critic_judge_steps(target, first=VARIANTS[Variant.COT_MULTI_AGENT].prompt(
+                target, None, DEFAULT_TEMPLATES)), [
                 '{"step1": "No decision yet.", "step2": "It recommends.", '
                 '"deliberative": 1}',
                 '{"assessment": "flawed", "issues": "step2 reads a fact as advice", '

@@ -47,9 +47,9 @@ class TestTemplateSet:
             templates.render("weird")
         assert templates.render("weird", value="it") == "needs it here"
 
-    def test_placeholder_in_value_rejected(self):
-        with pytest.raises(ConfigError, match=r"unresolved placeholder \{\{x\}\}"):
-            DEFAULT_TEMPLATES.render("zero_shot.user", sentence="a {{x}} b")
+    def test_placeholder_in_value_inserted_verbatim(self):
+        out = DEFAULT_TEMPLATES.render("zero_shot.user", sentence="a {{x}} b")
+        assert 'Sentence: "a {{x}} b"' in out
 
     def test_placeholder_in_definitions_rejected(self, tmp_path):
         (tmp_path / "definitions.txt").write_text("see {{glossary}}\n")
