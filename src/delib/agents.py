@@ -136,7 +136,7 @@ def _agent_step(role: str, bundle: PromptBundle, repair_policy: str) -> Steps:
     """Steps of one agent; returns (AgentStep, ParsedPrediction)."""
     outcome = yield from classify_steps(bundle, repair_policy)
     if outcome.prediction is None:
-        raise OrchestrationFailure(bundle.sentence_id, role, outcome.failure or "unparseable")
+        raise OrchestrationFailure(bundle.sentence_id, role, outcome.failure)
     pred = outcome.prediction
     output = {"label": pred.label}
     if pred.step1 is not None:
@@ -165,12 +165,10 @@ def majority_vote_steps(sentence: Sentence, templates: TemplateSet = DEFAULT_TEM
                       final_label=pred3.label, resolution=TIEBREAK)
 
 
-def run_majority_vote(sentence: Sentence, backend: ChatBackend,
-                      templates: TemplateSet = DEFAULT_TEMPLATES,
-                      repair_policy: str = "LENIENT") -> AgentTrace:
-    """Two zero-shot-style votes; a third agent breaks ties."""
-    return drive(majority_vote_steps(sentence, templates, repair_policy,
-                                     first=render_zero_shot(sentence, templates)),
+def run_majority_vote(sentence: Sentence, backend: ChatBackend) -> AgentTrace:
+    """Two zero-shot-style votes; a third agent breaks ties. LENIENT, with
+    the bundled templates."""
+    return drive(majority_vote_steps(sentence, first=render_zero_shot(sentence)),
                  backend.complete)
 
 
@@ -210,14 +208,11 @@ def predictor_critic_judge_steps(
                       final_label=judge.label, resolution=JUDGE_DECIDED)
 
 
-def run_predictor_critic_judge(sentence: Sentence, backend: ChatBackend,
-                               templates: TemplateSet = DEFAULT_TEMPLATES,
-                               repair_policy: str = "LENIENT",
-                               first: PromptBundle | None = None) -> AgentTrace:
-    """Predictor (first, by default CoT), critic review, judge only on disagreement."""
-    return drive(predictor_critic_judge_steps(
-        sentence, templates, repair_policy, first=first or render_cot(sentence, templates)),
-        backend.complete)
+def run_predictor_critic_judge(sentence: Sentence, backend: ChatBackend) -> AgentTrace:
+    """CoT predictor, critic review, judge only on disagreement. LENIENT,
+    with the bundled templates."""
+    return drive(predictor_critic_judge_steps(sentence, first=render_cot(sentence)),
+                 backend.complete)
 
 
 #: The step generator of each VariantSpec.agents orchestration.

@@ -23,6 +23,17 @@ from .prompting import VARIANTS, Variant
 from .templates import TemplateSet
 
 
+def _names(_ctx, param, value: str | None) -> list[str] | None:
+    """The comma-separated names of an option's value, each stripped (None
+    when the option is not given); an empty name is a usage error."""
+    if value is None:
+        return None
+    names = [name.strip() for name in value.split(",")]
+    if not all(names):
+        raise click.BadParameter(f"{value!r} has an empty name", param=param)
+    return names
+
+
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="YAML config resolving backends and directories.")
@@ -37,13 +48,13 @@ def cli(ctx, config_path):
 @click.option("--format", "fmt", default="jsonl",
               type=click.Choice(["jsonl", "csv", "tsv"]))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--batches", default=None,
+@click.option("--batches", default=None, callback=_names,
               help="Comma-separated batch codes to keep (e.g. K1,K2,K3,R4).")
 def ingest(input_path, fmt, out_path, batches):
     """Normalize a source dataset into canonical JSONL."""
     corpus = corpus_mod.parse_dataset(input_path, format=fmt)
     if batches:
-        corpus = corpus_mod.filter_batches(corpus, batches.split(","))
+        corpus = corpus_mod.filter_batches(corpus, batches)
     corpus_mod.save_jsonl(corpus, out_path)
     click.echo(f"wrote {len(corpus)} sentences to {out_path}")
 
@@ -65,7 +76,7 @@ def stats(corpus_path, csv_path):
               type=click.Choice([v.value for v in Variant], case_sensitive=False))
 @click.option("--backend", "backend_name", required=True)
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--batches", default=None,
+@click.option("--batches", default=None, callback=_names,
               help="Comma-separated batch codes to run; examples come from the others.")
 @click.option("--k", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
@@ -80,7 +91,7 @@ def run(settings, variant_name, backend_name, corpus_path, batches, k, seed,
     backend = build_backend(settings, backend_name)
     manifest = runner.run_variant(
         corpus, Variant(variant_name.upper()), backend, settings.runs_dir,
-        batches=batches.split(",") if batches else None, k=k, seed=seed,
+        batches=batches, k=k, seed=seed,
         repair_policy="STRICT" if strict_schema else "LENIENT",
         templates=TemplateSet(settings.template_dir),
         zero_shot_run_dir=_load_run(settings, zero_shot_run)[0] if zero_shot_run else None)
@@ -99,12 +110,12 @@ def _load_run(settings, run_id: str) -> tuple[Path, runner.RunManifest]:
     return run_dir, runner.load_manifest(run_dir)
 
 
-def _load_runs(settings, run_ids: str) -> list[tuple[Path, runner.RunManifest]]:
-    """_load_run of each comma-separated run id (or directory); a run named
-    twice is a usage error."""
+def _load_runs(settings, run_ids: list[str]) -> list[tuple[Path, runner.RunManifest]]:
+    """_load_run of each run id (or directory); a run named twice is a
+    usage error."""
     runs = {}
-    for run_id in run_ids.split(","):
-        run_dir, manifest = _load_run(settings, run_id.strip())
+    for run_id in run_ids:
+        run_dir, manifest = _load_run(settings, run_id)
         if manifest.run_id in runs:
             raise click.BadParameter(f"run {manifest.run_id} is named twice",
                                      param_hint="'--runs'")
@@ -150,7 +161,7 @@ def eval_cmd(settings, run_id, corpus_path, per_batch, failures_as_negative):
 
 
 @cli.command()
-@click.option("--runs", "run_ids", required=True,
+@click.option("--runs", "run_ids", required=True, callback=_names,
               help="Comma-separated run ids or directories.")
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--out-dir", "out_dir", default=None, type=click.Path())
@@ -178,7 +189,7 @@ def compare(settings, run_ids, corpus_path, out_dir):
 
 
 @cli.command()
-@click.option("--runs", "run_ids", required=True)
+@click.option("--runs", "run_ids", required=True, callback=_names)
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--out-dir", "out_dir", default=None, type=click.Path())
 @click.option("--top-verbs", default=10, show_default=True, type=click.IntRange(min=1))

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 from .errors import ConfigError, DataError, SchemaError, TransportError
-from .parsing import ParsedPrediction, dumps_canonical, parse_prediction
+from .parsing import ParsedPrediction, dumps_canonical, parse_prediction, replace_text
 
 if TYPE_CHECKING:
     from .prompting import PromptBundle
@@ -199,10 +199,10 @@ class ResponseCache:
     """Cache layout: <root>/<backend>/<first 2 hex of key>/<key>.json.
 
     root=None keeps entries in memory only (useful for throwaway runs).
-    Writes are atomic (a temp file per writer, then a rename) and
-    serialized by a lock per instance; reads are lock-free. A file that is
-    not an object with a str text raises DataError rather than counting as
-    a miss, which would replace the first observed response.
+    Writes are atomic (parsing.replace_text) and serialized by a lock per
+    instance; reads are lock-free. A file that is not an object with a str
+    text raises DataError rather than counting as a miss, which would
+    replace the first observed response.
     """
 
     def __init__(self, root: str | Path | None):
@@ -239,15 +239,7 @@ class ResponseCache:
                 return
             path = self._path(backend, key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            # one temp name per writing thread of each process, so that
-            # writers of one key never write into each other's temp file
-            tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-            try:
-                tmp.write_text(dumps_canonical(entry), encoding="utf-8")
-                tmp.replace(path)
-            except OSError:
-                tmp.unlink(missing_ok=True)
-                raise
+            replace_text(path, dumps_canonical(entry))
 
 
 class _RateLimiter:
@@ -281,8 +273,6 @@ class HttpTransport:
 
     def __init__(self, config: BackendConfig):
         self.config = config
-        self.calls = 0
-        self._lock = threading.Lock()
 
     def _auth_header(self) -> dict:
         if not self.config.auth_env:
@@ -297,7 +287,7 @@ class HttpTransport:
     def __call__(self, messages: Sequence[Message]) -> tuple[int, dict]:
         import requests
 
-        # first, so a missing credential fails before the call is counted or sent
+        # first, so a missing credential fails before the call is sent
         headers = {"Content-Type": "application/json", **self._auth_header()}
         body = {
             "model": self.config.model,
@@ -307,8 +297,6 @@ class HttpTransport:
         }
         if self.config.decoding.response_format_hint:
             body["response_format"] = {"type": self.config.decoding.response_format_hint}
-        with self._lock:
-            self.calls += 1
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
         try:
             resp = requests.post(url, json=body, headers=headers, timeout=HTTP_TIMEOUT_S)
@@ -542,14 +530,14 @@ def classify_steps(bundle: PromptBundle, repair_policy: str = "LENIENT") -> Step
     return ClassifyOutcome(prediction=prediction, completion=completion)
 
 
-def classify(backend: ChatBackend, bundle: PromptBundle,
-             repair_policy: str = "LENIENT") -> ClassifyOutcome:
-    """Complete the bundle's messages and parse against its schema.
+def classify(backend: ChatBackend, bundle: PromptBundle) -> ClassifyOutcome:
+    """Complete the bundle's messages and parse them LENIENT against its
+    schema: classify_steps served by blocking calls.
 
     Parse failures after a successful completion become structured
     SCHEMA_FAILURE outcomes; transport errors propagate.
     """
-    return drive(classify_steps(bundle, repair_policy), backend.complete)
+    return drive(classify_steps(bundle), backend.complete)
 
 
 def mock_backend(rules: Sequence[MockRule] = (), default: str | None = None,

@@ -93,12 +93,7 @@ def _read_wordlist(path: Path) -> list[str]:
 
 @dataclass
 class Lexicons:
-    stative: frozenset
-    reporting: frozenset
     modal: frozenset
-    cognitive: frozenset
-    first_person: frozenset
-    future_temporal: frozenset
     inflections: Mapping[str, str]          # surface form -> lemma
     tense: Mapping[str, str]                # surface form -> pres|past
     categories: Mapping[str, str]           # token -> its CATEGORY_ORDER category
@@ -162,7 +157,7 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
 
     sets = {c: frozenset(words[c]) for c in CATEGORY_ORDER}
-    return Lexicons(**sets, inflections=inflections, tense=tense,
+    return Lexicons(modal=sets["modal"], inflections=inflections, tense=tense,
                     categories=_resolve_categories(sets, inflections), digest=digest)
 
 

@@ -9,9 +9,12 @@ Schema tags:
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring
+from pathlib import Path
 
 from .errors import SchemaError
 
@@ -50,6 +53,20 @@ else:
     def dumps_canonical(value) -> str:
         """json.dumps(value, sort_keys=True, ensure_ascii=False)."""
         return "".join(_encode_chunks(value, 0))
+
+
+def replace_text(path: Path, text: str) -> None:
+    """Write text to path by replacing the file: into a temp file beside
+    it, then renamed over it, so that a write cut short leaves the file as
+    it was and no temp file. The temp name is per process and writing
+    thread, so that writers of one path never write into each other's."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def loads_line(line: str):

@@ -114,24 +114,26 @@ def render_prompt(kind: str, sentence: Sentence, templates: TemplateSet,
     )
 
 
-def render_zero_shot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    return render_prompt("zero_shot", sentence, templates)
+# The render_* functions and the blocking twins below (generate_example_reasoning,
+# reasoned_examples) render with the bundled templates: perfbench/tracing.py
+# wraps them by name. A run renders through VARIANTS and its step generators.
+
+def render_zero_shot(sentence: Sentence) -> PromptBundle:
+    return render_prompt("zero_shot", sentence, DEFAULT_TEMPLATES)
 
 
-def render_few_shot(sentence: Sentence, examples: Sequence[Example],
-                    templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
+def render_few_shot(sentence: Sentence, examples: Sequence[Example]) -> PromptBundle:
     return VARIANTS[Variant.FEW_SHOT].prompt(
-        sentence, ExampleSet.few_shot(examples, templates), templates)
+        sentence, ExampleSet.few_shot(examples), DEFAULT_TEMPLATES)
 
 
-def render_cot(sentence: Sentence, templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
-    return render_prompt("cot", sentence, templates)
+def render_cot(sentence: Sentence) -> PromptBundle:
+    return render_prompt("cot", sentence, DEFAULT_TEMPLATES)
 
 
-def render_cot_few_shot(sentence: Sentence, examples: Sequence[Example],
-                        templates: TemplateSet = DEFAULT_TEMPLATES) -> PromptBundle:
+def render_cot_few_shot(sentence: Sentence, examples: Sequence[Example]) -> PromptBundle:
     return VARIANTS[Variant.COT_FEW_SHOT_ERROR].prompt(
-        sentence, ExampleSet.cot(examples, templates), templates)
+        sentence, ExampleSet.cot(examples), DEFAULT_TEMPLATES)
 
 
 @dataclass(frozen=True)
@@ -249,22 +251,20 @@ def render_reasoning_prompt(example: Example, templates: TemplateSet = DEFAULT_T
     return bundle
 
 
-def example_reasoning_steps(example: Example, templates: TemplateSet = DEFAULT_TEMPLATES,
-                            repair_policy: str = "LENIENT"):
+def example_reasoning_steps(example: Example, templates: TemplateSet = DEFAULT_TEMPLATES):
     """Step generator for generate_example_reasoning(); returns the reasoned
-    example, or None when it is excluded."""
+    example, or None when it is excluded. Responses parse LENIENT under
+    either repair policy of the run the example serves."""
     for attempt in (0, 1):
         bundle = render_reasoning_prompt(example, templates, attempt=attempt)
-        outcome = yield from classify_steps(bundle, repair_policy)
+        outcome = yield from classify_steps(bundle)
         pred = outcome.prediction
         if pred is not None and pred.label == example.sentence.gold_label:
             return replace(example, reasoning={"step1": pred.step1, "step2": pred.step2})
     return None
 
 
-def generate_example_reasoning(example: Example, backend,
-                               templates: TemplateSet = DEFAULT_TEMPLATES,
-                               repair_policy: str = "LENIENT") -> Example | None:
+def generate_example_reasoning(example: Example, backend) -> Example | None:
     """Elicit step1/step2 reasoning consistent with the example's gold label.
 
     Responses come through the backend's persistent cache, so repeat calls
@@ -272,7 +272,7 @@ def generate_example_reasoning(example: Example, backend,
     label contradicts gold is retried once; a second contradiction flags
     the example as excluded (returns None).
     """
-    return drive(example_reasoning_steps(example, templates, repair_policy), backend.complete)
+    return drive(example_reasoning_steps(example), backend.complete)
 
 
 def reasoned_examples_steps(
@@ -296,19 +296,12 @@ def reasoned_examples_steps(
         f"exclusions: need {k}, have {len(out)}")
 
 
-def reasoned_examples(
-    corpus: Corpus,
-    target_batch: str,
-    k: int,
-    seed: int,
-    backend,
-    pool: Sequence[Sentence] | None = None,
-    templates: TemplateSet = DEFAULT_TEMPLATES,
-) -> list[Example]:
-    """First k pool candidates (seeded order) with valid generated reasoning.
+def reasoned_examples(corpus: Corpus, target_batch: str, k: int, seed: int,
+                      backend) -> list[Example]:
+    """First k candidates of the whole corpus (seeded order) with valid
+    generated reasoning.
 
     Candidates whose reasoning contradicts gold twice are skipped, keeping
     selection deterministic for a fixed (corpus, batch, k, seed, backend).
     """
-    return drive(reasoned_examples_steps(corpus, target_batch, k, seed, pool, templates),
-                 backend.complete)
+    return drive(reasoned_examples_steps(corpus, target_batch, k, seed), backend.complete)

@@ -25,7 +25,7 @@ from .corpus import Corpus
 from .dispatch import run_window
 from .errors import DataError
 from .gateway import ChatBackend, Steps, classify, classify_steps
-from .parsing import dumps_canonical, loads_line
+from .parsing import dumps_canonical, loads_line, replace_text
 from .prompting import (VARIANTS, ExampleSet, Variant, build_error_pool, reasoned_examples,
                         reasoned_examples_steps, render_cot, render_cot_few_shot,
                         render_few_shot, render_zero_shot, select_few_shot_examples)
@@ -196,7 +196,8 @@ def run_variant(
     progress: Callable[[int, int], None] | None = None,
 ) -> RunManifest:
     """Execute one variant over the sentences of `batches` (None: the whole
-    corpus), resumably; examples come from the corpus's other batches.
+    corpus), resumably; examples come from the corpus's other batches. A
+    batch the corpus does not hold raises DataError.
 
     Error-based variants require zero_shot_run_dir pointing at a completed
     zero-shot run for the same backend. An exception that stops the run,
@@ -213,6 +214,9 @@ def run_variant(
     if k < 1:
         raise DataError(f"k must be at least 1, got {k}")
     wanted = None if batches is None else set(batches)
+    absent = [] if wanted is None else sorted(wanted - set(corpus.batches()))
+    if absent:
+        raise DataError(f"the corpus has no sentences of batches: {', '.join(absent)}")
     scope = [s for s in corpus.sentences if wanted is None or s.batch in wanted]
     if not scope:
         raise DataError("run scope contains no sentences")
@@ -256,7 +260,7 @@ def run_variant(
         schema_failures=sum(1 for label in existing.values() if label is None),
     )
     manifest_path = run_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
+    replace_text(manifest_path, json.dumps(manifest.to_dict(), indent=2))
 
     pending = [s for s in scope if s.id not in existing]
     hits = backend.hits
@@ -290,7 +294,7 @@ def run_variant(
         raise
     finally:
         manifest.cached = backend.hits - hits
-        manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2), encoding="utf-8")
+        replace_text(manifest_path, json.dumps(manifest.to_dict(), indent=2))
     return manifest
 
 

@@ -6,11 +6,11 @@ import pytest
 from delib.agents import (AGREEMENT, CRITIC, CRITIC_ACCEPTED, JUDGE,
                           JUDGE_DECIDED, PREDICTOR, SECOND, TIEBREAK,
                           AgentStep, AgentTrace, OrchestrationFailure,
-                          analyze_disagreements, run_majority_vote,
-                          run_predictor_critic_judge)
+                          analyze_disagreements, predictor_critic_judge_steps,
+                          run_majority_vote, run_predictor_critic_judge)
 from delib.errors import DataError
-from delib.gateway import MockRule, mock_backend
-from delib.prompting import VARIANTS, Example, ExampleSet, Variant
+from delib.gateway import MockRule, drive, mock_backend
+from delib.prompting import VARIANTS, Example, ExampleSet, Variant, render_cot
 from delib.templates import DEFAULT_TEMPLATES
 
 from conftest import build_corpus, make_sentence
@@ -122,9 +122,10 @@ class TestPredictorCriticJudge:
 
     def test_sound_contradiction_strict_fails(self):
         backend = pcj_backend(1, "sound", 0, judge_label=0)
+        s = make_sentence("x", "K1")
         with pytest.raises(OrchestrationFailure) as exc:
-            run_predictor_critic_judge(make_sentence("x", "K1"), backend,
-                                       repair_policy="STRICT")
+            drive(predictor_critic_judge_steps(s, DEFAULT_TEMPLATES, "STRICT",
+                                               first=render_cot(s)), backend.complete)
         assert exc.value.role == CRITIC
 
     def test_sound_contradiction_lenient_normalizes(self, caplog):
@@ -140,9 +141,10 @@ class TestPredictorCriticJudge:
                        reasoning={"step1": "a", "step2": "b"})]
         s = make_sentence("x", "K1")
         backend = pcj_backend(1, "sound", 1)
-        trace = run_predictor_critic_judge(
-            s, backend, first=VARIANTS[Variant.COT_FEW_SHOT_ERROR].prompt(
-                s, ExampleSet.cot(exs, DEFAULT_TEMPLATES), DEFAULT_TEMPLATES))
+        trace = drive(predictor_critic_judge_steps(
+            s, first=VARIANTS[Variant.COT_FEW_SHOT_ERROR].prompt(
+                s, ExampleSet.cot(exs, DEFAULT_TEMPLATES), DEFAULT_TEMPLATES)),
+            backend.complete)
         assert trace.final_label == 1
 
     def test_few_shot_error_predictor_requires_examples(self):

@@ -14,7 +14,7 @@ from delib.config import build_backend, load_settings
 from delib.corpus import parse_dataset
 from delib.errors import ConfigError, DataError
 from delib.prompting import Variant
-from delib.runner import load_records, run_variant
+from delib.runner import load_manifest, load_records, run_variant
 
 from conftest import build_corpus
 
@@ -291,6 +291,31 @@ class TestRunEvalCompare:
                           tmp_path / "api", batches=["K1"], k=2)
         assert run_dir.name == api.run_id
         assert api.batches == ["K1"]
+
+    def test_batch_names_are_stripped(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert self._run(config, data, extra=("--batches", "K1, K2")) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert load_manifest(run_dir).batches == ["K1", "K2"]
+        assert len(load_records(run_dir)) == len(parse_dataset(data))
+
+    def test_a_batch_the_corpus_lacks_is_data_error(self, workspace, capsys):
+        tmp_path, config, data = workspace
+        assert self._run(config, data, extra=("--batches", "K1,K9")) == 4
+        assert "the corpus has no sentences of batches: K9" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("run", "--variant", "ZERO_SHOT", "--backend", "echo", "--batches", "K1,,K2"),
+        ("ingest", "--out", "out.jsonl", "--batches", "K1, "),
+        ("compare", "--runs", "a,,b"),
+    ], ids=["run --batches", "ingest --batches", "compare --runs"])
+    def test_an_empty_name_is_usage_error(self, workspace, capsys, args):
+        tmp_path, config, data = workspace
+        corpus = ("--input",) if args[0] == "ingest" else ("--corpus",)
+        assert invoke(config, *args, *corpus, data) == 1
+        assert "has an empty name" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def _recorded_run(self, monkeypatch, config, data, variant, backend):
         """Run the variant twice (the second run resumes a finished run);

@@ -18,9 +18,9 @@ from delib.cli import main
 from delib.corpus import Corpus, Sentence, sentence_id
 from delib.errors import TransportError
 from delib.dispatch import run_window
-from delib.gateway import (RECENT_CALLS, SLOW_CALL_S, BackendConfig, ChatBackend,
-                           HttpTransport, Limits, MockRule, ResponseCache,
-                           ScriptedTransport, _Transient, drive, mock_backend)
+from delib.gateway import (RECENT_CALLS, SLOW_CALL_S, BackendConfig, ChatBackend, Limits,
+                           MockRule, ResponseCache, ScriptedTransport, _Transient, drive,
+                           mock_backend)
 from delib.prompting import VARIANTS, Variant
 from delib.runner import load_records, run_grid, run_variant
 
@@ -284,26 +284,12 @@ def test_fast_backend_never_starts_the_pool(tmp_path, monkeypatch):
     assert all(m.status == "finished" for m in manifests.values())
 
 
-class _Ok:
-    status_code = 200
-
-    @staticmethod
-    def json():
-        return {"choices": [{"message": {"content": "{}"}}]}
-
-
-@pytest.mark.parametrize("kind", ["scripted", "http"])
-def test_transport_counters_survive_threads(kind, monkeypatch):
+def test_transport_counters_survive_threads():
     """More threads than cores and a short switch interval: a lost update
     to the call count or a fault popped twice would break the totals."""
     n_threads, per_thread, n_faults = 8, 250, 700
-    if kind == "scripted":
-        rule = MockRule(pattern=".", response="{}", faults=["503"] * n_faults)
-        transport = ScriptedTransport([rule])
-    else:
-        rule = None
-        monkeypatch.setattr("requests.post", lambda *a, **k: _Ok())
-        transport = HttpTransport(BackendConfig(name="h", endpoint="http://localhost", model="m"))
+    rule = MockRule(pattern=".", response="{}", faults=["503"] * n_faults)
+    transport = ScriptedTransport([rule])
     faults = []
 
     def worker():
@@ -325,8 +311,7 @@ def test_transport_counters_survive_threads(kind, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert transport.calls == n_threads * per_thread
-    if rule is not None:
-        assert len(faults) == n_faults and not rule.faults
+    assert len(faults) == n_faults and not rule.faults
 
 
 def test_cache_hit_count_survives_threads():

@@ -11,7 +11,7 @@ from delib.config import Settings, build_backend
 from delib.errors import ConfigError, TransportError
 from delib.gateway import (BackendConfig, CacheKeys, ChatBackend, DecodingParams,
                            Limits, MockRule, ResponseCache, ScriptedTransport,
-                           cache_key, classify, mock_backend)
+                           cache_key, classify, classify_steps, drive, mock_backend)
 from delib.prompting import PromptBundle, Variant
 from delib.runner import run_variant
 
@@ -394,12 +394,14 @@ class TestAuth:
 
     def test_credential_check_precedes_dispatch(self, monkeypatch):
         monkeypatch.delenv("DELIB_TEST_KEY", raising=False)
+        sent = []
+        monkeypatch.setattr("requests.post", lambda *a, **k: sent.append(a))
         config = BackendConfig(name="remote", endpoint="http://localhost:9",
                                model="m", auth_env="DELIB_TEST_KEY")
         backend = ChatBackend(config)
         with pytest.raises(ConfigError):
             backend.complete(MSGS)
-        assert backend.transport.calls == 0
+        assert sent == []
 
 
 class TestConcurrency:
@@ -579,8 +581,11 @@ class TestClassify:
     def test_strict_rejects_what_lenient_repairs(self):
         text = 'Sure! {"deliberative": "1"}'
         backend = mock_backend(default=text)
-        assert classify(backend, bundle(), "LENIENT").prediction.label == 1
-        assert classify(backend, bundle(), "STRICT").prediction is None
+
+        def classify_as(policy):
+            return drive(classify_steps(bundle(), policy), backend.complete)
+        assert classify_as("LENIENT").prediction.label == 1
+        assert classify_as("STRICT").prediction is None
 
     def test_transport_error_propagates(self):
         backend = mock_backend(rules=[MockRule(pattern=r"never", response="x")])

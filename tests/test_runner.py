@@ -1,3 +1,4 @@
+import errno
 import json
 import shutil
 from collections import Counter
@@ -118,9 +119,10 @@ class TestRunVariant:
         everything = run_variant(corpus, Variant.ZERO_SHOT, b, tmp_path)
         assert everything.run_id == compute_run_id(
             Variant.ZERO_SHOT, b.config.digest(), corpus.digest(), 0, 5, "1", "LENIENT")
-        listed = run_variant(corpus, Variant.ZERO_SHOT, b, tmp_path,
-                             batches=["K2", "K1", "K9"])
+        listed = run_variant(corpus, Variant.ZERO_SHOT, b, tmp_path, batches=["K2", "K1"])
         assert listed.run_id == everything.run_id
+        with pytest.raises(DataError, match="no sentences of batches: K9"):
+            run_variant(corpus, Variant.ZERO_SHOT, b, tmp_path, batches=["K2", "K1", "K9"])
 
     def test_error_variant_requires_zero_shot(self, tmp_path):
         with pytest.raises(DataError, match="zero-shot run"):
@@ -195,6 +197,37 @@ class TestResume:
         resumed = run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path / "torn")
         assert resumed.dispatched == 27
         assert (run_dir / "records.jsonl").read_bytes() == expected
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["first write", "last write"])
+    def test_a_failed_manifest_write_leaves_the_manifest_before_it(self, tmp_path, monkeypatch,
+                                                                     failing):
+        """A manifest write that fails part-way, as on a full disk, leaves the
+        manifest written before it and no temp file; resuming finishes the
+        run, and a finished run's directory holds only its two files."""
+        corpus = corpus_for_runs()
+        with pytest.raises(StopRun):
+            run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path, progress=raise_after(5))
+        (run_dir,) = tmp_path.iterdir()
+        written = [(run_dir / "manifest.json").read_text(encoding="utf-8")]
+        write_text = Path.write_text
+
+        def write_failing(path, text, *args, **kwargs):
+            if path.name.startswith("manifest.json"):
+                if len(written) == failing:
+                    write_text(path, text[:len(text) // 2], *args, **kwargs)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(text)
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_failing)
+        with pytest.raises(OSError, match="No space left"):
+            run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path)
+        assert (run_dir / "manifest.json").read_text(encoding="utf-8") == written[-1]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "records.jsonl"]
+        monkeypatch.undo()
+        resumed = run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path)
+        assert resumed.status == "finished" and resumed.n_records == 32
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "records.jsonl"]
 
     def test_finished_run_dispatches_nothing(self, tmp_path):
         corpus = corpus_for_runs()
