@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import delib.indicators
 from delib.cli import main
 from delib.config import build_backend, load_settings
-from delib.corpus import parse_dataset
+from delib.corpus import parse_dataset, sentence_id
 from delib.errors import ConfigError, DataError
 from delib.prompting import Variant
 from delib.runner import load_manifest, load_records, run_variant
@@ -441,6 +441,39 @@ class TestAnalyzeAndDisagreements:
         report = json.loads(capsys.readouterr().out)
         assert report["n_disagreements"] == 0  # constant mock always agrees
 
+    def test_a_failed_agent_gives_a_failure_record(self, workspace, capsys):
+        """A critic answering no JSON on one sentence: that sentence gets a
+        failure record naming the role, counted as a schema failure by the
+        manifest and by eval, and disagreements passes over it."""
+        tmp_path, config, data = workspace
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        doc["backends"]["flawed"] = {"type": "mock", "rules": [
+            {"pattern": "You are the judge", "response": {"rationale": "r", "deliberative": 0}},
+            {"pattern": "You are a critic[\\s\\S]*Tuesday", "response": "not json"},
+            {"pattern": "You are a critic",
+             "response": {"assessment": "flawed", "issues": "i", "suggestion": 0}}],
+            "default_response": {"step1": "a", "step2": "b", "deliberative": 1}}
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert invoke(config, "run", "--variant", "COT_MULTI_AGENT", "--backend", "flawed",
+                      "--corpus", data) == 0
+        run_dir = only_run_dir(tmp_path)
+        tuesday = sentence_id("K1", "The meeting happened on Tuesday.")
+        (line,) = [line for line in (run_dir / "records.jsonl").read_text().splitlines()
+                   if tuesday in line]
+        assert line == (
+            '{"failure": "CRITIC: no parsable JSON object in response", "final_label": null, '
+            f'"run_id": "{run_dir.name}", "sentence_id": "{tuesday}", '
+            '"variant": "COT_MULTI_AGENT"}')
+        assert load_manifest(run_dir).schema_failures == 1
+        capsys.readouterr()
+        assert invoke(config, "eval", "--run", run_dir.name, "--corpus", data) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.split()[:6] == ["ALL", "0", "0", "3", "2", "1"]  # TP FP FN TN Fail
+        assert invoke(config, "disagreements", "--run", run_dir.name, "--corpus", data) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_disagreements"] == report["judge_followed_critic"] == 5
+        assert report["flips"] == {"1->0 gold=0": 2, "1->0 gold=1": 3}
+
     def test_disagreements_needs_a_predictor_critic_judge_run(self, workspace, capsys):
         tmp_path, config, data = workspace
         assert invoke(config, "run", "--variant", "MULTI_AGENT",
@@ -687,6 +720,7 @@ def _top(**changes):
     (_echo(temperature="hot"), ["'echo'", "temperature"]),
     (_top(backends=["echo"]), ["backends"]),
     (_echo(limits=[2, 1]), ["'echo'", "limits"]),
+    (_echo(rules={"pattern": "x"}), ["'echo'", "rules must be a list"]),
     (_echo(rules=[{"response": "x"}]), ["'echo'", "rules[0]", "pattern"]),
     (_echo(rules=[{"pattern": "[", "response": "x"}]), ["'echo'", "rules[0].pattern"]),
     (_top(runs_dir=5), ["runs_dir"]),
@@ -707,7 +741,7 @@ def _top(**changes):
     (_echo(response_format_hint=[1, 2]), ["'echo'", "response_format_hint"]),
     (_echo(response_format_hint=""), ["'echo'", "response_format_hint"]),
 ], ids=["rpm '60'", "rpm 0", "rpm -1", "max_in_flight many", "temperature hot",
-        "backends a list", "limits a list", "rule without pattern", "rule pattern not a regex",
+        "backends a list", "limits a list", "rules a mapping", "rule without pattern", "rule pattern not a regex",
         "runs_dir 5", "temperature yes", "max_in_flight true", "retry_budget false",
         "rpm true", "max_in_flight 2.7", "max_output_tokens 12.9", "max_in_flight inf",
         "temperature nan", "temperature inf", "temperature -1", "max_output_tokens 0",

@@ -258,6 +258,17 @@ class TestParseDataset:
         with pytest.raises(DataError, match="no records"):
             parse_dataset(path)
 
+    @pytest.mark.parametrize("fmt,text,message", [
+        ("csv", "", "no records: empty input"),
+        ("csv", "sentence,batch,label\n", "no records"),
+        ("tsv", "text\tbatch\tlabel\na b\tK1\t1\nc d\tK2\n", "row 3: too few columns"),
+    ], ids=["empty", "header only", "short row"])
+    def test_table_without_whole_records_errors(self, tmp_path, fmt, text, message):
+        path = tmp_path / f"c.{fmt}"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            parse_dataset(path, format=fmt)
+
     def test_missing_source(self, tmp_path):
         with pytest.raises(DataError, match="unreadable"):
             parse_dataset(tmp_path / "nope.jsonl")

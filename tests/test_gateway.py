@@ -1,13 +1,19 @@
 import hashlib
+import http.server
 import json
+import re
+import socket
 import threading
 import time
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delib.cli import main
 from delib.config import Settings, build_backend
+from delib.corpus import save_jsonl
 from delib.errors import ConfigError, TransportError
 from delib.gateway import (BackendConfig, CacheKeys, ChatBackend, DecodingParams,
                            Limits, MockRule, ResponseCache, ScriptedTransport,
@@ -381,6 +387,135 @@ class TestCompletionContent:
             backend.complete(MSGS)
         assert list(tmp_path.rglob("*")) == []
         assert backend.cache.get("content", backend.key(MSGS)) is None
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with server.answer(request body) -> (status, text)
+    and keeps (path, headers, body) of each request in server.received."""
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.received.append((self.path, dict(self.headers), body))
+        status, text = self.server.answer(body)
+        data = text.encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *_args):
+        pass
+
+
+def _completion(text):
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": text}}],
+                       "usage": {"prompt_tokens": 1, "completion_tokens": 1}})
+
+
+@pytest.fixture
+def chat_server():
+    """An OpenAI-compatible endpoint on a loopback port."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.received = []
+    server.answer = lambda _body: (200, _completion("{}"))
+    # a short poll interval, so that shutdown() returns at once
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _endpoint(port):
+    return f"http://127.0.0.1:{port}/v1"
+
+
+def _http_backend(port, **config):
+    return ChatBackend(BackendConfig(name="served", endpoint=_endpoint(port), model="m",
+                                     limits=Limits(retry_budget=2), **config),
+                       sleep=lambda _s: None)
+
+
+class TestHttpTransport:
+    def test_200_gives_the_text(self, chat_server):
+        chat_server.answer = lambda _body: (200, _completion("an answer"))
+        result = _http_backend(chat_server.server_port).complete(MSGS)
+        assert result.text == "an answer"
+        [(path, _headers, body)] = chat_server.received
+        assert path == "/v1/chat/completions"
+        assert body == {"model": "m", "messages": MSGS, "temperature": 0.0,
+                        "max_tokens": 1024}
+
+    @pytest.mark.parametrize("status,text,error,match,sent", [
+        (401, "{}", ConfigError, r"authentication failed \(HTTP 401\)", 1),
+        (403, "{}", ConfigError, r"authentication failed \(HTTP 403\)", 1),
+        (429, "{}", TransportError, r"retries exhausted \(3 attempts\): HTTP 429", 3),
+        (503, "{}", TransportError, r"retries exhausted \(3 attempts\): HTTP 503", 3),
+        (404, "no such route", TransportError, "HTTP 404: no such route", 1),
+        (200, "not json", TransportError, "malformed response body", 1),
+    ], ids=["401", "403", "429", "503", "404", "200 not json"])
+    def test_status_mapping(self, chat_server, status, text, error, match, sent):
+        chat_server.answer = lambda _body: (status, text)
+        backend = _http_backend(chat_server.server_port)
+        with pytest.raises(error, match=match):
+            backend.complete(MSGS)
+        assert len(chat_server.received) == sent
+        assert backend.cache.get("served", backend.key(MSGS)) is None
+
+    def test_a_closed_port_is_transient(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(TransportError,
+                           match=r"retries exhausted \(3 attempts\): request failed"):
+            _http_backend(port).complete(MSGS)
+
+    def test_credential_and_response_format_are_sent(self, chat_server, monkeypatch):
+        monkeypatch.setenv("DELIB_TEST_KEY", "s3cret")
+        backend = _http_backend(chat_server.server_port, auth_env="DELIB_TEST_KEY",
+                                decoding=DecodingParams(response_format_hint="json_object"))
+        backend.complete(MSGS)
+        [(_path, headers, body)] = chat_server.received
+        assert headers["Authorization"] == "Bearer s3cret"
+        assert body["response_format"] == {"type": "json_object"}
+
+    def test_a_run_over_http_writes_the_mock_run_records(self, chat_server, tmp_path,
+                                                          capsys):
+        """The same answers from an endpoint and from a mock give the same
+        records, apart from the run id."""
+        rules = [("should|think|could", {"deliberative": 1}), (".", {"deliberative": 0})]
+
+        def answer(body):
+            prompt = "\n".join(m["content"] for m in body["messages"])
+            response = next(r for pattern, r in rules if re.search(pattern, prompt))
+            return 200, _completion(json.dumps(response))
+
+        chat_server.answer = answer
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({"backends": {
+            "served": {"endpoint": _endpoint(chat_server.server_port), "model": "mock-model"},
+            "scripted": {"type": "mock", "rules": [
+                {"pattern": pattern, "response": r} for pattern, r in rules]}},
+            "runs_dir": "runs", "cache_dir": "cache"}), encoding="utf-8")
+        data = tmp_path / "corpus.jsonl"
+        save_jsonl(build_corpus([("We should consider the new proposal.", "K1", 1),
+                                 ("The meeting happened on Tuesday.", "K1", 0),
+                                 ("I think this approach is wrong.", "K2", 1),
+                                 ("The budget was approved last year.", "K2", 0)]), data)
+        records = {}
+        for name in ("served", "scripted"):
+            assert main(["--config", str(config), "run", "--variant", "ZERO_SHOT",
+                         "--backend", name, "--corpus", str(data)]) == 0
+            run_id = capsys.readouterr().out.split()[1].rstrip(":")
+            text = (tmp_path / "runs" / run_id / "records.jsonl").read_text(encoding="utf-8")
+            records[name] = text.replace(run_id, "RUN")
+        assert len(chat_server.received) == 4
+        assert len(list((tmp_path / "runs").iterdir())) == 2
+        assert records["served"] == records["scripted"]
 
 
 class TestAuth:

@@ -176,6 +176,12 @@ class TestLexiconLoading:
         with pytest.raises(ConfigError, match="missing lexicon file: irregular.txt"):
             load_lexicons()
 
+    @pytest.mark.parametrize("line", ["went go", "went go gone", "went go past extra"])
+    def test_malformed_irregular_line(self, tmp_path, line):
+        (tmp_path / "irregular.txt").write_text(f"said say past\n{line}\n")
+        with pytest.raises(ConfigError, match=f"irregular.txt: bad line '{line}'"):
+            load_lexicons(tmp_path)
+
     def test_missing_directory(self):
         with pytest.raises(ConfigError):
             load_lexicons("/nonexistent/lexicons")

@@ -11,7 +11,8 @@ from delib.gateway import CompletionResult, MockRule, drive, mock_backend
 from delib.prompting import (VARIANTS, Example, ExampleSet, Variant, build_error_pool,
                              generate_example_reasoning, render_cot,
                              render_cot_few_shot, render_few_shot,
-                             reasoned_examples_steps, render_reasoning_prompt,
+                             reasoned_examples, reasoned_examples_steps,
+                             render_reasoning_prompt,
                              render_zero_shot, select_few_shot_examples)
 from delib.runner import _seed_for_batch
 from delib.templates import DEFAULT_TEMPLATES
@@ -482,6 +483,16 @@ class TestExampleReasoning:
         ])
         out = generate_example_reasoning(example("E", "K2", 1), backend)
         assert out is not None
+
+    def test_exclusions_that_leave_too_few_examples_raise(self, small_corpus):
+        # every reasoning concludes 0: the two gold-1 candidates are excluded
+        backend = mock_backend([MockRule(
+            pattern=r"Known-correct label:",
+            response='{"step1":"a","step2":"b","deliberative":0}')])
+        with pytest.raises(DataError, match="after reasoning exclusions: need 3, have 2"):
+            reasoned_examples(small_corpus, "K1", 3, 0, backend)
+        # each of the four candidates outside K1 tried, an excluded one twice
+        assert backend.transport.calls == 6
 
 
 class TestSentenceContainedOnce:

@@ -129,6 +129,14 @@ class TestRunVariant:
             run_variant(corpus_for_runs(), Variant.FEW_SHOT_ERROR, backend(),
                         tmp_path, k=2)
 
+    def test_error_variant_requires_zero_shot_records(self, tmp_path):
+        corpus = corpus_for_runs()
+        zero_shot = run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path)
+        (tmp_path / zero_shot.run_id / "records.jsonl").write_text("", encoding="utf-8")
+        with pytest.raises(DataError, match="has no records"):
+            run_variant(corpus, Variant.FEW_SHOT_ERROR, backend(), tmp_path, k=2,
+                        zero_shot_run_dir=tmp_path / zero_shot.run_id)
+
     def test_schema_failures_counted(self, tmp_path):
         corpus = build_corpus([("a", "K1", 1), ("b", "K1", 0)])
         bad = mock_backend(default="no json here")
