@@ -9,11 +9,10 @@ from delib.agents import majority_vote_steps, predictor_critic_judge_steps
 from delib.errors import DataError
 from delib.gateway import CompletionResult, MockRule, drive, mock_backend
 from delib.prompting import (VARIANTS, Example, ExampleSet, Variant, build_error_pool,
-                             generate_example_reasoning, render_cot,
-                             render_cot_few_shot, render_few_shot,
-                             reasoned_examples, reasoned_examples_steps,
-                             render_reasoning_prompt,
-                             render_zero_shot, select_few_shot_examples)
+                             generate_example_reasoning, reasoned_examples,
+                             reasoned_examples_steps, render_cot, render_cot_few_shot,
+                             render_few_shot, render_reasoning_prompt, render_zero_shot,
+                             select_few_shot_examples)
 from delib.runner import _seed_for_batch
 from delib.templates import DEFAULT_TEMPLATES
 
