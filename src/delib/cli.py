@@ -19,6 +19,7 @@ from . import evaluation, indicators, runner
 from .agents import AgentTrace, analyze_disagreements
 from .config import build_backend, load_settings
 from .errors import DataError, DelibError
+from .parsing import replace_text
 from .prompting import VARIANTS, Variant
 from .templates import TemplateSet
 
@@ -68,7 +69,7 @@ def stats(corpus_path, csv_path):
     rows = corpus_mod.corpus_stats(corpus)
     click.echo(corpus_mod.stats_table(rows))
     if csv_path:
-        Path(csv_path).write_text(corpus_mod.stats_csv(rows), encoding="utf-8")
+        replace_text(Path(csv_path), corpus_mod.stats_csv(rows))
 
 
 @cli.command()
@@ -133,11 +134,11 @@ def _score_run(run_dir: Path, manifest: runner.RunManifest, corpus: corpus_mod.C
 
 
 def _write_reports(out_dir: str | Path, what: str, files: dict[str, str]) -> None:
-    """Write each report file's text under out_dir, creating it, and say so."""
+    """Replace each report file's text under out_dir, creating it, and say so."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+        replace_text(out_dir / name, text)
     click.echo(f"{what} written to {out_dir}")
 
 

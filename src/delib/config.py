@@ -13,6 +13,7 @@ import yaml
 from .errors import ConfigError
 from .gateway import (BackendConfig, ChatBackend, DecodingParams, Limits,
                       MockRule, ResponseCache, mock_backend)
+from .parsing import read_text
 
 
 @dataclass
@@ -33,7 +34,7 @@ def load_settings(path: str | Path | None) -> Settings:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        doc = yaml.safe_load(read_text(path)) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid config file: {exc}") from exc
     if not isinstance(doc, dict):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataError
-from .parsing import loads_line
+from .parsing import loads_line, read_lines, read_text, replace_text
 
 log = logging.getLogger(__name__)
 
@@ -129,21 +129,20 @@ def _build_sentences(rows: Iterable[tuple[int, object, object, object]]) -> list
 
 
 def _iter_jsonl(path: Path):
-    with path.open("r", encoding="utf-8") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            try:
-                obj = loads_line(line)
-            except json.JSONDecodeError as exc:
-                if not line.strip():
-                    continue
-                raise DataError(f"row {row_no}: invalid JSON ({exc})") from exc
-            if type(obj) is not dict:
-                raise DataError(f"row {row_no}: expected an object")
-            try:
-                batch, text, label = obj["batch"], obj["text"], obj["label"]
-            except KeyError:
-                raise DataError(f"row {row_no}: missing one of text/batch/label") from None
-            yield row_no, batch, text, label
+    for row_no, line in read_lines(path):
+        try:
+            obj = loads_line(line)
+        except json.JSONDecodeError as exc:
+            if not line.strip():
+                continue
+            raise DataError(f"row {row_no}: invalid JSON ({exc})") from exc
+        if type(obj) is not dict:
+            raise DataError(f"row {row_no}: expected an object")
+        try:
+            batch, text, label = obj["batch"], obj["text"], obj["label"]
+        except KeyError:
+            raise DataError(f"row {row_no}: missing one of text/batch/label") from None
+        yield row_no, batch, text, label
 
 
 def _resolve_columns(header: Sequence[str]) -> dict[str, int]:
@@ -160,7 +159,7 @@ def _resolve_columns(header: Sequence[str]) -> dict[str, int]:
 
 
 def _iter_table(path: Path, delimiter: str | None):
-    raw = path.read_text(encoding="utf-8")
+    raw = read_text(path)
     if not raw.strip():
         raise DataError("no records: empty input")
     if delimiter is None:
@@ -168,13 +167,11 @@ def _iter_table(path: Path, delimiter: str | None):
             delimiter = csv.Sniffer().sniff(raw[:4096], delimiters=",\t;").delimiter
         except csv.Error:
             delimiter = ","
-    reader = csv.reader(io.StringIO(raw), delimiter=delimiter)
-    header = next(reader, None)
-    if header is None:
-        raise DataError("no records: empty input")
+    rows = enumerate(csv.reader(io.StringIO(raw), delimiter=delimiter), start=1)
+    header = next((row for _, row in rows if any(c.strip() for c in row)), [])
     cols = _resolve_columns(header)
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+    for row_no, row in rows:
+        if not any(c.strip() for c in row):
             continue
         try:
             yield row_no, row[cols["batch"]], row[cols["text"]], row[cols["label"]]
@@ -204,11 +201,10 @@ def parse_dataset(source: str | Path, format: str = "jsonl") -> Corpus:
 
 
 def save_jsonl(corpus: Corpus, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for s in corpus.sentences:
-            fh.write(json.dumps(
-                {"id": s.id, "batch": s.batch, "text": s.text, "label": s.gold_label},
-                ensure_ascii=False) + "\n")
+    replace_text(Path(path), "".join(
+        json.dumps({"id": s.id, "batch": s.batch, "text": s.text, "label": s.gold_label},
+                   ensure_ascii=False) + "\n"
+        for s in corpus.sentences))
 
 
 def filter_batches(corpus: Corpus, include: Iterable[str]) -> Corpus:

@@ -215,13 +215,13 @@ def per_batch_series_csv(
 
 def metrics_text(reports: Sequence[MetricsReport]) -> str:
     header = (f"{'Scope':<8}{'TP':>7}{'FP':>7}{'FN':>7}{'TN':>7}{'Fail':>7}"
-              + "".join(f"{c.upper():>9}" for c in _COLUMNS))
+              + "".join(f"{c.upper():>10}" for c in _COLUMNS))
     lines = [header]
     for rep in reports:
         m = rep.matrix
         lines.append(
             f"{rep.scope:<8}{m.tp:>7}{m.fp:>7}{m.fn:>7}{m.tn:>7}{m.n_schema_failures:>7}"
-            + "".join(f"{getattr(rep, c):>9.3f}" for c in _COLUMNS))
+            + "".join(f"{getattr(rep, c):>10.3f}" for c in _COLUMNS))
     return "\n".join(lines)
 
 

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Sentence, csv_text
 from .errors import ConfigError, DataError
+from .parsing import read_text
 
 _BUNDLED = Path(__file__).parent / "lexicons"
 
@@ -84,7 +85,7 @@ def regular_forms(lemma: str) -> dict[str, str]:
 
 def _read_wordlist(path: Path) -> list[str]:
     words = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.split("#", 1)[0].strip().lower()
         if line:
             words.append(line)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import DataError, SchemaError
 
 STRICT = "STRICT"
 LENIENT = "LENIENT"
@@ -67,6 +67,34 @@ def replace_text(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path: Path) -> str:
+    """path.read_text() in strict UTF-8, where a byte that is not UTF-8 is a DataError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+
+
+def read_lines(path: Path):
+    """(line number from 1, line) of each line of a file, decoded as read_text decodes."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError as exc:  # its offset counts from a chunk, not the file
+            raise _not_utf8(path) from exc
+
+
+def _not_utf8(path: Path) -> DataError:
+    """The DataError naming a file's first byte that is not UTF-8 by line and file offset."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path}: line {line} is not UTF-8 ({exc.reason} at offset {exc.start})")
+    return DataError(f"{path}: was not UTF-8 when first read")
 
 
 def loads_line(line: str):

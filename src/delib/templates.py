@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 from .errors import ConfigError
+from .parsing import read_text
 
 _BUNDLED = Path(__file__).parent / "templates"
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
@@ -36,7 +37,7 @@ class TemplateSet:
             f"{bundled.stem}\0{self.load(bundled.stem)}\0"
             for bundled in sorted(_BUNDLED.glob("*.txt"))
             if bundled.stem != "VERSION"
-            and self.load(bundled.stem) != bundled.read_text(encoding="utf-8"))
+            and self.load(bundled.stem) != read_text(bundled))
         if not changed:
             return version
         return f"{version}+{hashlib.sha256(changed.encode()).hexdigest()[:10]}"
@@ -54,7 +55,7 @@ class TemplateSet:
 
     def load(self, name: str) -> str:
         if name not in self._cache:
-            self._cache[name] = self._path(name).read_text(encoding="utf-8")
+            self._cache[name] = read_text(self._path(name))
         return self._cache[name]
 
     def _compile(self, name: str) -> tuple[str, ...]:

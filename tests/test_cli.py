@@ -1,3 +1,4 @@
+import errno
 import json
 import shutil
 import tempfile
@@ -623,14 +624,16 @@ _JSON_VALUES = [None, True, 0, 2, 1.5, "", "1", "K1", [], ["K1"], [1, 2], {}, {"
 
 
 @given(target=st.sampled_from(["records", "manifest", "cache"]),
-       damage=st.sampled_from(["truncate", "drop a key", "wrong type", "non-object"]),
+       damage=st.sampled_from(["truncate", "drop a key", "wrong type", "non-object",
+                               "invalid byte", "cut inside a character"]),
        data=st.data())
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage, data):
-    """Whatever the damage to a run's records, manifest or a cache entry,
-    eval, compare, disagreements and run (resuming, and into a fresh runs dir
-    reading the cache) return a documented exit code and never raise."""
+    """Whatever the damage to a run's records, manifest or a cache entry, as
+    text or as bytes that are not UTF-8, eval, compare, disagreements and run
+    (resuming, and into a fresh runs dir reading the cache) return a
+    documented exit code and never raise."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "w"
         shutil.copytree(finished_run, root)
@@ -645,7 +648,7 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
         i = data.draw(st.integers(0, len(lines) - 1))
         if damage == "truncate":
             text = text[:data.draw(st.integers(0, len(text) - 1))]
-        else:
+        elif damage in ("drop a key", "wrong type", "non-object"):
             obj = json.loads(lines[i])
             if damage == "non-object":
                 obj = data.draw(st.sampled_from(_JSON_VALUES))
@@ -657,7 +660,18 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
                     obj[key] = data.draw(st.sampled_from(_JSON_VALUES))
             lines[i] = json.dumps(obj) + ("\n" if lines[i].endswith("\n") else "")
             text = "".join(lines)
-        path.write_text(text, encoding="utf-8")
+        if damage == "cut inside a character" and "\u00e9" not in text:
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + "\u00e9" + text[at:]
+        raw = text.encode("utf-8")
+        if damage == "invalid byte":
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + b"\xff" + raw[at:]
+        elif damage == "cut inside a character":
+            # just after the first byte of a multi-byte character
+            raw = raw[:data.draw(st.sampled_from(
+                [at + 1 for at, byte in enumerate(raw) if byte >= 0xc0]))]
+        path.write_bytes(raw)
 
         config, corpus = root / "config.yaml", root / "corpus.jsonl"
         fresh = root / "fresh.yaml"
@@ -674,6 +688,109 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
                  run_cot_multi_agent(fresh, corpus)]
         capsys.readouterr()
         assert all(code in range(5) for code in codes), codes
+
+
+def _override(root, key, bundled_file):
+    """Point the config's key at a directory holding a copy of a bundled file."""
+    (root / key).mkdir()
+    shutil.copy(bundled_file, root / key)
+    with (root / "config.yaml").open("a", encoding="utf-8") as fh:
+        fh.write(f"{key}: {key}\n")
+    return root / key / bundled_file.name
+
+
+def _cache_entry_of_a_new_run(root):
+    """An echo cache entry that a ZERO_SHOT run reads once the runs are gone."""
+    shutil.rmtree(root / "runs")
+    return sorted((root / "cache" / "echo").rglob("*.json"))[0]
+
+
+PACKAGE = Path(delib.indicators.__file__).parent
+
+#: Each input kind: the file a case damages and the command that reads it.
+_INPUTS = {
+    "corpus JSONL": lambda root, runs: (
+        root / "corpus.jsonl", ("ingest", "--input", root / "corpus.jsonl",
+                                "--out", root / "out.jsonl")),
+    "corpus CSV": lambda root, runs: (
+        root / "corpus.csv", ("ingest", "--input", root / "corpus.csv", "--format", "csv",
+                              "--out", root / "out.jsonl")),
+    "config": lambda root, runs: (
+        root / "config.yaml", ("stats", "--corpus", root / "corpus.jsonl")),
+    "template override": lambda root, runs: (
+        _override(root, "template_dir", PACKAGE / "templates" / "zero_shot.user.txt"),
+        ("run", "--variant", "ZERO_SHOT", "--backend", "echo",
+         "--corpus", root / "corpus.jsonl")),
+    "lexicon override": lambda root, runs: (
+        _override(root, "lexicon_dir", PACKAGE / "lexicons" / "modal.txt"),
+        ("analyze", "--runs", ",".join(runs), "--corpus", root / "corpus.jsonl")),
+    "records": lambda root, runs: (
+        root / "runs" / runs[0] / "records.jsonl",
+        ("eval", "--run", runs[0], "--corpus", root / "corpus.jsonl")),
+    "manifest": lambda root, runs: (
+        root / "runs" / runs[0] / "manifest.json",
+        ("eval", "--run", runs[0], "--corpus", root / "corpus.jsonl")),
+    "cache entry": lambda root, runs: (
+        _cache_entry_of_a_new_run(root),
+        ("run", "--variant", "ZERO_SHOT", "--backend", "echo",
+         "--corpus", root / "corpus.jsonl")),
+}
+
+
+@pytest.mark.parametrize("kind", list(_INPUTS))
+def test_a_byte_that_is_not_utf8_exits_4_naming_the_file_and_line(finished_run, tmp_path,
+                                                                   capsys, kind):
+    """One 0xff byte at the start of the second line of each input kind (the
+    first line of a one-line file)."""
+    root = tmp_path / "w"
+    shutil.copytree(finished_run, root)
+    (root / "corpus.csv").write_text("sentence,batch,label\nhello there,K1,1\n",
+                                     encoding="utf-8")
+    runs = sorted(p.name for p in (root / "runs").iterdir())
+    path, args = _INPUTS[kind](root, runs)
+    data = path.read_bytes()
+    at = data.find(b"\n") + 1
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    capsys.readouterr()
+    assert invoke(root / "config.yaml", *args) == 4
+    line = 2 if at else 1
+    assert (f"error: {path}: line {line} is not UTF-8 (invalid start byte at offset {at})"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("output", ["ingest --out", "stats --csv", "eval reports"])
+def test_an_output_write_cut_short_leaves_the_file_before_it(finished_run, tmp_path,
+                                                             monkeypatch, capsys, output):
+    """A whole-file output is replaced: a full disk during its temp write
+    leaves the file as it was and no temp file, and the command exits 4."""
+    root = tmp_path / "w"
+    shutil.copytree(finished_run, root)
+    corpus = root / "corpus.jsonl"
+    (zero_shot,) = (root / "runs").glob("zero_shot-*")
+    path, args = {
+        "ingest --out": (root / "out.jsonl",
+                         ("ingest", "--input", corpus, "--out", root / "out.jsonl")),
+        "stats --csv": (root / "stats.csv",
+                        ("stats", "--corpus", corpus, "--csv", root / "stats.csv")),
+        "eval reports": (root / "reports" / zero_shot.name / "metrics.txt",
+                         ("eval", "--run", zero_shot.name, "--corpus", corpus)),
+    }[output]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"previous\n")
+    write_text = Path.write_text
+
+    def write_failing(target, text, *args, **kwargs):
+        if target.name.endswith(".tmp"):
+            write_text(target, text[:len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_text(target, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_failing)
+    capsys.readouterr()
+    assert invoke(root / "config.yaml", *args) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert path.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in path.parent.iterdir() if p.name.endswith(".tmp")) == []
 
 
 def valid_config():

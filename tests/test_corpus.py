@@ -304,6 +304,15 @@ class TestParseDataset:
         assert [s.batch for s in corpus.sentences] == ["K1", "K2"]
         assert [s.gold_label for s in corpus.sentences] == [1, 0]
 
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path):
+        """Row numbers still count from the file's first line."""
+        path = tmp_path / "c.csv"
+        path.write_text("\nsentence,batch,label\nhello there,K1,1\n", encoding="utf-8")
+        assert [s.text for s in parse_dataset(path, format="csv").sentences] == ["hello there"]
+        path.write_text("\n \nsentence,batch,label\nhello there,K1,1\nbye\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 5: too few columns"):
+            parse_dataset(path, format="csv")
+
     def test_tsv(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("text\tbatch\tgold_label\na b\tK1\t1\n")

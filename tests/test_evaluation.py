@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,11 @@ class TestRendering:
         reports = [metrics(ConfusionMatrix(tp=3, fp=1, fn=2, tn=4), scope="ALL")]
         text = metrics_text(reports)
         assert "ALL" in text and "0.750" in text
+        header, row = text.split("\n")
+        assert header.split() == ["Scope", "TP", "FP", "FN", "TN", "Fail",
+                                  "PRECISION", "RECALL", "F1", "F2", "MCC"]
+        ends = [[m.end() for m in re.finditer(r"\S+", line)] for line in (header, row)]
+        assert ends[0][1:] == ends[1][1:]  # each value right-aligned under its header
         out = metrics_csv(reports)
         lines = out.strip().split("\n")
         assert lines[0].startswith("scope,tp,fp")

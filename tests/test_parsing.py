@@ -2,12 +2,13 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delib.errors import SchemaError
+from delib.errors import DataError, SchemaError
 from delib.parsing import (_LABEL_FIELD, LENIENT, SCHEMA_FIELDS, STRICT, ParsedPrediction,
-                           _coerce_binary, _first_balanced_object, parse_prediction)
+                           _coerce_binary, _first_balanced_object, parse_prediction,
+                           read_lines, read_text)
 
 
 class TestSimpleSchema:
@@ -142,6 +143,8 @@ class TestRoundTrip:
     def test_lenient_extraction_survives_prose(self, label, prefix, suffix):
         body = json.dumps({"deliberative": label})
         raw = prefix.replace("{", "").replace("}", "") + body + suffix
+        # a response that starts with <think> is cut through </think> (TestThinkStrip)
+        assume(not raw.strip().startswith("<think>"))
         assert parse_prediction(raw, "SIMPLE", LENIENT).label == label
 
 
@@ -341,3 +344,27 @@ class TestThinkStrip:
             expected[2]["repairs"].insert(0, "think-strip")
         assert _outcome(parse_prediction, f"<think>{thought}</think>{gap}{raw}",
                         schema, LENIENT) == expected
+
+
+class TestReaders:
+    def test_lines_and_text_of_a_utf8_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("caf\u00e9\r\nit\u2019s\n\nend".encode())
+        assert list(read_lines(path)) == [(1, "caf\u00e9\n"), (2, "it\u2019s\n"), (3, "\n"),
+                                          (4, "end")]
+        assert read_text(path) == "caf\u00e9\nit\u2019s\n\nend"
+
+    @pytest.mark.parametrize("bad,reason", [(b"\xff", "invalid start byte"),
+                                            (b"\xe2\x80", "unexpected end of data")])
+    def test_a_bad_byte_is_named_by_line_and_file_offset(self, tmp_path, bad, reason):
+        """Past the first chunk a streaming decode reads, too; a file torn
+        inside a character ends in an unexpected end of data."""
+        head = "".join(f'{{"n": {i}, "s": "it\u2019s"}}\n' for i in range(2000)).encode()
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(head + b'{"n": ' + bad)
+        message = (f"{path}: line 2001 is not UTF-8 "
+                   f"({reason} at offset {len(head) + 6})")
+        for read in (read_text, lambda p: list(read_lines(p))):
+            with pytest.raises(DataError) as raised:
+                read(path)
+            assert str(raised.value) == message

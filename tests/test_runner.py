@@ -8,7 +8,7 @@ import pytest
 
 import delib.templates
 from delib.errors import DataError
-from delib.gateway import ResponseCache, mock_backend
+from delib.gateway import MockRule, ResponseCache, mock_backend
 from delib.prompting import VARIANTS, Variant
 from delib.parsing import dumps_canonical
 from delib.runner import (compute_run_id, load_manifest, load_predictions,
@@ -204,6 +204,31 @@ class TestResume:
 
         resumed = run_variant(corpus, Variant.ZERO_SHOT, backend(), tmp_path / "torn")
         assert resumed.dispatched == 27
+        assert (run_dir / "records.jsonl").read_bytes() == expected
+
+    def test_resume_after_a_last_line_torn_inside_a_character(self, tmp_path):
+        """Records hold model reasoning unescaped, so a crash can tear the
+        last line inside a multi-byte character: reading the file names that
+        line, and resuming drops it and redoes that sentence."""
+        def cot_backend():
+            return mock_backend([MockRule(pattern=r'"step1"', response=json.dumps(
+                {"step1": "the memo\u2019s plan", "step2": "it weighs options",
+                 "deliberative": 1}))])
+
+        corpus = corpus_for_runs()
+        straight = run_variant(corpus, Variant.COT, cot_backend(), tmp_path / "straight")
+        expected = (tmp_path / "straight" / straight.run_id / "records.jsonl").read_bytes()
+        lines = expected.splitlines(keepends=True)
+        cut = lines[-1].index("\u2019".encode()) + 1
+
+        run_dir = tmp_path / "torn" / straight.run_id
+        run_dir.mkdir(parents=True)
+        (run_dir / "records.jsonl").write_bytes(b"".join(lines[:-1]) + lines[-1][:cut])
+        with pytest.raises(DataError, match=f"line {len(lines)} is not UTF-8"):
+            load_records(run_dir)
+
+        resumed = run_variant(corpus, Variant.COT, cot_backend(), tmp_path / "torn")
+        assert resumed.dispatched == 1
         assert (run_dir / "records.jsonl").read_bytes() == expected
 
     @pytest.mark.parametrize("failing", [1, 2], ids=["first write", "last write"])

@@ -1,0 +1,60 @@
+"""Only delib.parsing decodes a file: every other module under src/delib
+reads text through parsing.read_text or parsing.read_lines, so one rule
+turns a byte that is not UTF-8 into a DataError naming the file and line.
+A read is a `.read_text(...)` method call or an `open` in read mode ("r",
+"r+" or no mode); binary opens and opens to write or append are allowed.
+The modules call the shared readers by their bare names."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "delib"
+
+
+def text_reads(source: str) -> list[int]:
+    """The line of each text read in a module's source."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "read_text":
+            lines.append(node.lineno)
+            continue
+        if isinstance(func, ast.Attribute) and func.attr == "open":
+            mode = node.args[0] if node.args else None  # Path(...).open(mode)
+        elif isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else None  # open(file, mode)
+        else:
+            continue
+        mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+        if mode is None:
+            lines.append(node.lineno)
+        elif not isinstance(mode, ast.Constant) or (
+                "b" not in mode.value and ("r" in mode.value or "+" in mode.value)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_parsing_reads_a_file_as_text():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    reads = {path.stem: text_reads(path.read_text(encoding="utf-8"))
+             for path in modules if path.name != "parsing.py"}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_the_reads_it_finds():
+    source = '''
+p.read_text(encoding="utf-8")
+open(f)
+open(f, "r", encoding="utf-8")
+p.open()
+p.open(mode="r+")
+p.open("rb+")
+p.open("a", encoding="utf-8")
+open(f, "wb")
+p.open(m)
+read_text(p)
+'''
+    assert text_reads(source) == [2, 3, 4, 5, 6, 10]
