@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataError
-from .parsing import loads_line, read_lines, read_text, replace_text
+from .parsing import read_jsonl, read_text, replace_text
 
 log = logging.getLogger(__name__)
 
@@ -129,13 +129,7 @@ def _build_sentences(rows: Iterable[tuple[int, object, object, object]]) -> list
 
 
 def _iter_jsonl(path: Path):
-    for row_no, line in read_lines(path):
-        try:
-            obj = loads_line(line)
-        except json.JSONDecodeError as exc:
-            if not line.strip():
-                continue
-            raise DataError(f"row {row_no}: invalid JSON ({exc})") from exc
+    for row_no, obj in read_jsonl(path):
         if type(obj) is not dict:
             raise DataError(f"row {row_no}: expected an object")
         try:
@@ -159,7 +153,7 @@ def _resolve_columns(header: Sequence[str]) -> dict[str, int]:
 
 
 def _iter_table(path: Path, delimiter: str | None):
-    raw = read_text(path)
+    raw = read_text(path).removeprefix("\ufeff")  # a byte-order mark, as spreadsheets export
     if not raw.strip():
         raise DataError("no records: empty input")
     if delimiter is None:
@@ -167,16 +161,20 @@ def _iter_table(path: Path, delimiter: str | None):
             delimiter = csv.Sniffer().sniff(raw[:4096], delimiters=",\t;").delimiter
         except csv.Error:
             delimiter = ","
-    rows = enumerate(csv.reader(io.StringIO(raw), delimiter=delimiter), start=1)
-    header = next((row for _, row in rows if any(c.strip() for c in row)), [])
-    cols = _resolve_columns(header)
-    for row_no, row in rows:
-        if not any(c.strip() for c in row):
-            continue
-        try:
-            yield row_no, row[cols["batch"]], row[cols["text"]], row[cols["label"]]
-        except IndexError:
-            raise DataError(f"row {row_no}: too few columns") from None
+    reader = csv.reader(io.StringIO(raw), delimiter=delimiter)
+    rows = enumerate(reader, start=1)
+    try:
+        header = next((row for _, row in rows if any(c.strip() for c in row)), [])
+        cols = _resolve_columns(header)
+        for row_no, row in rows:
+            if not any(c.strip() for c in row):
+                continue
+            try:
+                yield row_no, row[cols["batch"]], row[cols["text"]], row[cols["label"]]
+            except IndexError:
+                raise DataError(f"row {row_no}: too few columns") from None
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num} is not CSV ({exc})") from exc
 
 
 def parse_dataset(source: str | Path, format: str = "jsonl") -> Corpus:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 from .errors import ConfigError, DataError, SchemaError, TransportError
-from .parsing import ParsedPrediction, dumps_canonical, parse_prediction, read_text, replace_text
+from .parsing import ParsedPrediction, dumps_canonical, parse_prediction, read_json, replace_text
 
 if TYPE_CHECKING:
     from .prompting import PromptBundle
@@ -223,10 +223,7 @@ class ResponseCache:
         path = self._path(backend, key)
         if not path.is_file():
             return None
-        try:
-            entry = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not a cache entry: {exc}") from exc
+        entry = read_json(path)
         if type(entry) is not dict or type(entry.get("text")) is not str:
             raise DataError(f"{path}: not a cache entry: it needs a string text")
         self._memory[key] = entry

@@ -64,8 +64,10 @@ def replace_text(path: Path, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         tmp.replace(path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # named by the target, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -77,13 +79,38 @@ def read_text(path: Path) -> str:
         raise _not_utf8(path) from exc
 
 
-def read_lines(path: Path):
-    """(line number from 1, line) of each line of a file, decoded as read_text decodes."""
+def read_jsonl(path: Path, hint: str = ""):
+    """(line number from 1, value) of each line of a JSONL file that is not
+    blank, decoded as read_text decodes; a line that is not one JSON value
+    raises DataError naming the path, the line, the reason, then hint. The
+    scanner decodes a line of one value and at most a "\\n"; others go to json.loads."""
     with path.open(encoding="utf-8") as fh:
         try:
-            yield from enumerate(fh, 1)
+            for line_no, line in enumerate(fh, 1):
+                try:
+                    value, end = scan_json(line, 0)
+                    if end != len(line) and line[end:] != "\n":
+                        raise ValueError
+                except (StopIteration, ValueError):
+                    try:
+                        value = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        if not line.strip():
+                            continue
+                        raise DataError(
+                            f"{path}: line {line_no} is not JSON ({exc.msg}){hint}") from exc
+                yield line_no, value
         except UnicodeDecodeError as exc:  # its offset counts from a chunk, not the file
             raise _not_utf8(path) from exc
+
+
+def read_json(path: Path):
+    """The JSON value a file holds, decoded as read_text decodes; text that
+    is not one JSON value raises DataError naming the path and the line."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: line {exc.lineno} is not JSON ({exc.msg})") from exc
 
 
 def _not_utf8(path: Path) -> DataError:
@@ -95,20 +122,6 @@ def _not_utf8(path: Path) -> DataError:
         line = data.count(b"\n", 0, exc.start) + 1
         return DataError(f"{path}: line {line} is not UTF-8 ({exc.reason} at offset {exc.start})")
     return DataError(f"{path}: was not UTF-8 when first read")
-
-
-def loads_line(line: str):
-    """json.loads(line), for one line of a JSONL file. The scanner decodes
-    a line that is one value and at most a "\\n" by itself; any other line
-    (padded, blank, malformed) goes to json.loads, which raises
-    json.JSONDecodeError where it always did."""
-    try:
-        value, end = scan_json(line, 0)
-    except (StopIteration, ValueError):
-        return json.loads(line)
-    if end == len(line) or line[end:] == "\n":
-        return value
-    return json.loads(line)
 
 
 @dataclass(slots=True)

@@ -25,7 +25,7 @@ from .corpus import Corpus
 from .dispatch import run_window
 from .errors import DataError
 from .gateway import ChatBackend, Steps, classify, classify_steps
-from .parsing import dumps_canonical, loads_line, read_lines, read_text, replace_text
+from .parsing import dumps_canonical, read_json, read_jsonl, replace_text
 from .prompting import (VARIANTS, ExampleSet, Variant, build_error_pool, reasoned_examples,
                         reasoned_examples_steps, render_cot, render_cot_few_shot,
                         render_few_shot, render_zero_shot, select_few_shot_examples)
@@ -100,22 +100,13 @@ def _is_record(record) -> bool:
 
 
 def _iter_records(run_dir: str | Path) -> Iterator[dict]:
-    """The records of a run's records.jsonl in file order, skipping blank
-    lines; a line that is not one record (see _is_record) raises DataError
-    naming it."""
+    """The records of a run's records.jsonl in file order, skipping blank lines;
+    a line that is not one record (see _is_record) raises DataError naming it."""
     path = Path(run_dir) / "records.jsonl"
     if not path.is_file():
         return
-    for line_no, line in read_lines(path):
-        try:
-            record = loads_line(line)
-        except json.JSONDecodeError as exc:
-            if not line.strip():
-                continue
-            raise DataError(
-                f"{path}: line {line_no} is not a JSON record ({exc.msg}); "
-                "if the run was interrupted, resuming it repairs the file"
-            ) from exc
+    for line_no, record in read_jsonl(
+            path, "; if the run was interrupted, resuming it repairs the file"):
         if not _is_record(record):
             raise DataError(
                 f"{path}: line {line_no} is not a prediction record: it needs a "
@@ -145,8 +136,8 @@ def load_manifest(run_dir: str | Path) -> RunManifest:
     if not path.is_file():
         raise DataError(f"no manifest in {run_dir}")
     try:
-        return RunManifest.from_dict(json.loads(read_text(path)))
-    except (ValueError, TypeError) as exc:  # bad JSON, or not the manifest's fields
+        return RunManifest.from_dict(read_json(path))
+    except TypeError as exc:  # not the manifest's fields
         raise DataError(f"{path}: not a run manifest: {exc}") from exc
 
 

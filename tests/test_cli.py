@@ -261,7 +261,12 @@ class TestRunEvalCompare:
         capsys.readouterr()
         assert main(["--config", str(config), "eval", "--run", run_id,
                      "--corpus", str(data)]) == 4
-        assert "not a run manifest" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if damage == "malformed":
+            last = text.count("\n") + 1  # the cut falls inside the last value
+            assert f"error: {path}: line {last} is not JSON (Unterminated string" in err
+        else:
+            assert f"error: {path}: not a run manifest: " in err
 
     def test_batches_scope_the_run_and_examples_come_from_the_rest(self, workspace, capsys,
                                                                     monkeypatch):
@@ -598,7 +603,10 @@ class TestDamagedArtifacts:
         capsys.readouterr()
         assert run_zero_shot(config, data) == 4
         err = capsys.readouterr().err
-        assert f"{entry}: not a cache entry" in err
+        if damage == "truncated":
+            assert f"error: {entry}: line 1 is not JSON (" in err
+        else:
+            assert f"error: {entry}: not a cache entry: it needs a string text" in err
         assert entry.read_text(encoding="utf-8") == text  # not replaced by a new answer
 
     def test_runs_dir_that_is_a_file(self, workspace, capsys):
@@ -623,33 +631,47 @@ def finished_run(tmp_path_factory):
 _JSON_VALUES = [None, True, 0, 2, 1.5, "", "1", "K1", [], ["K1"], [1, 2], {}, {"a": 1}]
 
 
-@given(target=st.sampled_from(["records", "manifest", "cache"]),
+#: The exit codes a command may return after each target's damage: a corpus
+#: that still parses runs, and a config that still loads may name a runs dir
+#: without the run (exit 4).
+_DAMAGE_CODES = {"records": range(5), "manifest": range(5), "cache": range(5),
+                 "corpus": {0, 4}, "config": {0, 2, 4}}
+#: Damage that every command reports with one code: bytes that are not UTF-8
+#: exit 4 in any input; a NUL is JSON in no corpus line and YAML in no config.
+_BYTE_DAMAGE_CODES = {("corpus", "invalid byte"): 4, ("corpus", "cut inside a character"): 4,
+                      ("corpus", "NUL byte"): 4, ("config", "invalid byte"): 4,
+                      ("config", "cut inside a character"): 4, ("config", "NUL byte"): 2}
+
+
+@given(target=st.sampled_from(sorted(_DAMAGE_CODES)),
        damage=st.sampled_from(["truncate", "drop a key", "wrong type", "non-object",
-                               "invalid byte", "cut inside a character"]),
+                               "invalid byte", "NUL byte", "cut inside a character"]),
        data=st.data())
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage, data):
-    """Whatever the damage to a run's records, manifest or a cache entry, as
-    text or as bytes that are not UTF-8, eval, compare, disagreements and run
-    (resuming, and into a fresh runs dir reading the cache) return a
-    documented exit code and never raise."""
+    """Whatever the damage to a run's records, manifest or a cache entry, the
+    corpus or the config, as text or as bytes (not UTF-8, or a NUL), eval,
+    compare, disagreements and run (resuming, and into a fresh runs dir
+    reading the cache) return a documented exit code and never raise."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "w"
         shutil.copytree(finished_run, root)
         run_dir = data.draw(st.sampled_from(sorted((root / "runs").iterdir())))
         (multi_agent_dir,) = (root / "runs").glob("cot_multi_agent-*")
+        config, corpus = root / "config.yaml", root / "corpus.jsonl"
         if target == "cache":
             path = data.draw(st.sampled_from(sorted((root / "cache").rglob("*.json"))))
         else:
-            path = run_dir / ("records.jsonl" if target == "records" else "manifest.json")
+            path = {"records": run_dir / "records.jsonl", "manifest": run_dir / "manifest.json",
+                    "corpus": corpus, "config": config}[target]
         text = path.read_text(encoding="utf-8")
-        lines = text.splitlines(keepends=True) if target == "records" else [text]
+        lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
         i = data.draw(st.integers(0, len(lines) - 1))
         if damage == "truncate":
             text = text[:data.draw(st.integers(0, len(text) - 1))]
         elif damage in ("drop a key", "wrong type", "non-object"):
-            obj = json.loads(lines[i])
+            obj = (yaml.safe_load if target == "config" else json.loads)(lines[i])
             if damage == "non-object":
                 obj = data.draw(st.sampled_from(_JSON_VALUES))
             else:
@@ -658,26 +680,24 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
                     del obj[key]
                 else:
                     obj[key] = data.draw(st.sampled_from(_JSON_VALUES))
+            # JSON is YAML too
             lines[i] = json.dumps(obj) + ("\n" if lines[i].endswith("\n") else "")
             text = "".join(lines)
         if damage == "cut inside a character" and "\u00e9" not in text:
             at = data.draw(st.integers(0, len(text)))
             text = text[:at] + "\u00e9" + text[at:]
         raw = text.encode("utf-8")
-        if damage == "invalid byte":
+        if damage in ("invalid byte", "NUL byte"):
             at = data.draw(st.integers(0, len(raw)))
-            raw = raw[:at] + b"\xff" + raw[at:]
+            raw = raw[:at] + (b"\xff" if damage == "invalid byte" else b"\x00") + raw[at:]
         elif damage == "cut inside a character":
             # just after the first byte of a multi-byte character
             raw = raw[:data.draw(st.sampled_from(
                 [at + 1 for at, byte in enumerate(raw) if byte >= 0xc0]))]
         path.write_bytes(raw)
 
-        config, corpus = root / "config.yaml", root / "corpus.jsonl"
         fresh = root / "fresh.yaml"
-        fresh.write_text(config.read_text(encoding="utf-8").replace("runs_dir: runs",
-                                                                    "runs_dir: fresh"),
-                         encoding="utf-8")
+        fresh.write_bytes(config.read_bytes().replace(b"runs_dir: runs", b"runs_dir: fresh"))
         codes = [invoke(config, "eval", "--run", run_dir.name, "--corpus", corpus),
                  invoke(config, "compare", "--runs", run_dir.name, "--corpus", corpus),
                  invoke(config, "disagreements", "--run", multi_agent_dir.name,
@@ -687,7 +707,9 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
                  run_cot_multi_agent(config, corpus),
                  run_cot_multi_agent(fresh, corpus)]
         capsys.readouterr()
-        assert all(code in range(5) for code in codes), codes
+        assert set(codes) <= set(_DAMAGE_CODES[target]), codes
+        if (target, damage) in _BYTE_DAMAGE_CODES:
+            assert set(codes) == {_BYTE_DAMAGE_CODES[target, damage]}, codes
 
 
 def _override(root, key, bundled_file):
@@ -758,6 +780,38 @@ def test_a_byte_that_is_not_utf8_exits_4_naming_the_file_and_line(finished_run, 
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("kind", ["corpus JSONL", "records"])
+def test_a_line_that_is_not_json_exits_4_naming_the_file_and_line(finished_run, tmp_path,
+                                                                   capsys, kind):
+    root = tmp_path / "w"
+    shutil.copytree(finished_run, root)
+    runs = sorted(p.name for p in (root / "runs").iterdir())
+    path, args = _INPUTS[kind](root, runs)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([lines[0], '{"text": "cut\n', *lines[1:]]), encoding="utf-8")
+    capsys.readouterr()
+    assert invoke(root / "config.yaml", *args) == 4
+    assert (f"error: {path}: line 2 is not JSON (Invalid control character at)"
+            in capsys.readouterr().err)
+
+
+def test_a_csv_field_over_the_limit_exits_4_naming_the_file_and_line(workspace, capsys):
+    tmp_path, config, _ = workspace
+    path = tmp_path / "big.csv"
+    path.write_text(f"sentence,batch,label\n{'x' * 200_000},K1,1\n", encoding="utf-8")
+    assert invoke(config, "ingest", "--input", path, "--format", "csv",
+                  "--out", tmp_path / "out.jsonl") == 4
+    assert capsys.readouterr().err == (f"error: {path}: line 2 is not CSV "
+                                       "(field larger than field limit (131072))\n")
+
+
+def test_an_output_into_a_missing_directory_names_the_target(workspace, capsys):
+    tmp_path, config, data = workspace
+    target = tmp_path / "nodir" / "stats.csv"
+    assert invoke(config, "stats", "--corpus", data, "--csv", target) == 4
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
 @pytest.mark.parametrize("output", ["ingest --out", "stats --csv", "eval reports"])
 def test_an_output_write_cut_short_leaves_the_file_before_it(finished_run, tmp_path,
                                                              monkeypatch, capsys, output):
@@ -788,7 +842,7 @@ def test_an_output_write_cut_short_leaves_the_file_before_it(finished_run, tmp_p
     monkeypatch.setattr(Path, "write_text", write_failing)
     capsys.readouterr()
     assert invoke(root / "config.yaml", *args) == 4
-    assert "No space left on device" in capsys.readouterr().err
+    assert f"No space left on device: '{path}'" in capsys.readouterr().err
     assert path.read_bytes() == b"previous\n"
     assert sorted(p.name for p in path.parent.iterdir() if p.name.endswith(".tmp")) == []
 

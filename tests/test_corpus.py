@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -142,7 +143,7 @@ def reference_iter_jsonl(path):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"row {row_no}: invalid JSON ({exc})") from exc
+                raise DataError(f"{path}: line {row_no} is not JSON ({exc.msg})") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"row {row_no}: expected an object")
             if "text" not in obj or "batch" not in obj or "label" not in obj:
@@ -282,8 +283,9 @@ class TestParseDataset:
     def test_malformed_row_reports_row_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"batch":"K1","text":"ok","label":1}\nnot json\n')
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError) as raised:
             parse_dataset(path)
+        assert str(raised.value) == f"{path}: line 2 is not JSON (Expecting value)"
 
     def test_non_binary_label(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -312,6 +314,34 @@ class TestParseDataset:
         path.write_text("\n \nsentence,batch,label\nhello there,K1,1\nbye\n", encoding="utf-8")
         with pytest.raises(DataError, match="row 5: too few columns"):
             parse_dataset(path, format="csv")
+
+    @pytest.mark.parametrize("fmt,sep", [("csv", ","), ("tsv", "\t")])
+    def test_a_byte_order_mark_before_the_header_is_dropped(self, tmp_path, fmt, sep):
+        """As a spreadsheet exports it; a second one is the header's."""
+        path = tmp_path / f"c.{fmt}"
+        table = sep.join(["sentence", "batch", "label"]) + "\n" + sep.join(["hi", "K1", "1"])
+        path.write_text(f"\ufeff{table}\n", encoding="utf-8")
+        assert [s.text for s in parse_dataset(path, format=fmt).sentences] == ["hi"]
+        path.write_text(f"\ufeff\ufeff{table}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="has no column for 'text'"):
+            parse_dataset(path, format=fmt)
+
+    def test_a_jsonl_line_with_a_byte_order_mark_is_not_json(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('\ufeff{"batch":"K1","text":"ok","label":1}\n', encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            parse_dataset(path)
+        assert str(raised.value) == (f"{path}: line 1 is not JSON "
+                                     "(Unexpected UTF-8 BOM (decode using utf-8-sig))")
+
+    def test_a_field_over_the_csv_limit_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        big = "x" * (csv.field_size_limit() + 1)
+        path.write_text(f"sentence,batch,label\nhi,K1,1\n{big},K1,0\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            parse_dataset(path, format="csv")
+        assert str(raised.value) == (f"{path}: line 3 is not CSV (field larger than field "
+                                     f"limit ({csv.field_size_limit()}))")
 
     def test_tsv(self, tmp_path):
         path = tmp_path / "c.tsv"

@@ -1,8 +1,9 @@
 """Each per-completion fast path against the plain code it stands in for.
 
 dumps_canonical against json.dumps, PromptBundle.digest against one sha256
-of the whole payload, and parse_prediction against a copy of the version
-before its scanner-first object extraction and type-exact shortcuts. The
+of the whole payload, parse_prediction against a copy of the version
+before its scanner-first object extraction and type-exact shortcuts, and
+read_jsonl's scanner-first lines against json.loads of each line. The
 hypothesis tests take their example count from the profile: CI runs this
 file again under HYPOTHESIS_PROFILE=ci (see conftest.py).
 """
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delib.errors import SchemaError
+from delib.errors import DataError, SchemaError
 from delib.gateway import MAX_SYSTEM_STATES
-from delib.parsing import LENIENT, SCHEMA_FIELDS, STRICT, dumps_canonical, parse_prediction
+from delib.parsing import (LENIENT, SCHEMA_FIELDS, STRICT, dumps_canonical, parse_prediction,
+                           read_jsonl)
 from delib.prompting import _AFTER_SYSTEM, PromptBundle
 
 # -- dumps_canonical ------------------------------------------------------
@@ -317,3 +319,78 @@ class TestParsePrediction:
             for policy in (STRICT, LENIENT):
                 assert _outcome(parse_prediction, raw, schema, policy) == \
                     _outcome(reference_parse, raw, schema, policy)
+
+
+# -- read_jsonl ------------------------------------------------------------
+
+def reference_read_jsonl(path):
+    """Each line that is not blank through json.loads, up to the first that
+    is not one JSON value, and that line's DataError message or None."""
+    values = []
+    with path.open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                values.append((line_no, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                return values, f"{path}: line {line_no} is not JSON ({exc.msg})"
+    return values, None
+
+
+def _read_jsonl_outcome(path):
+    values = []
+    try:
+        for item in read_jsonl(path):
+            values.append(item)
+    except DataError as exc:
+        return values, str(exc)
+    return values, None
+
+
+_blank = st.sampled_from(["", " ", "\t", "\u00a0", "\u00a0\u00a0", "\u3000 \x0c"])
+_padding = st.text(st.sampled_from(" \t\u00a0"), max_size=2)
+
+
+_line_values = st.recursive(
+    _scalars,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(_tricky_text, children, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _jsonl_line(draw):
+    value = json.dumps(draw(_line_values), ensure_ascii=draw(st.booleans()))
+    kind = draw(st.sampled_from(["value"] * 6 + ["blank", "padded", "trailing garbage",
+                                                 "two values", "unterminated"]))
+    if kind == "blank":
+        return draw(_blank)
+    if kind == "padded":
+        return draw(_padding) + value + draw(_padding)
+    if kind == "trailing garbage":
+        return value + draw(st.sampled_from([" x", ",", "]", "}"]))
+    if kind == "two values":
+        return value + draw(st.sampled_from(["", " "])) + value
+    if kind == "unterminated":
+        return value[:-1] if value[-1] in "]}\"" else "{" + value
+    return value
+
+
+@pytest.fixture(scope="module")
+def jsonl_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("jsonl") / "f.jsonl"
+
+
+class TestReadJsonl:
+    @settings(deadline=None)
+    @given(lines=st.lists(_jsonl_line(), max_size=8), newline=st.sampled_from(["\n", "\r\n"]),
+           final_newline=st.booleans())
+    def test_matches_json_loads_per_line(self, jsonl_path, lines, newline, final_newline):
+        """Over blank, padded and NBSP-only lines, trailing garbage, two
+        values on a line, an unterminated value, and no final newline."""
+        text = newline.join(lines) + (newline if final_newline and lines else "")
+        jsonl_path.write_bytes(text.encode("utf-8"))
+        got, expected = _read_jsonl_outcome(jsonl_path), reference_read_jsonl(jsonl_path)
+        # json.dumps tells 1 from 1.0 and True, and NaN equals itself as text
+        assert json.dumps(got) == json.dumps(expected)

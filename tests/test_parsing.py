@@ -1,5 +1,8 @@
+import errno
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from delib.errors import DataError, SchemaError
 from delib.parsing import (_LABEL_FIELD, LENIENT, SCHEMA_FIELDS, STRICT, ParsedPrediction,
                            _coerce_binary, _first_balanced_object, parse_prediction,
-                           read_lines, read_text)
+                           read_json, read_jsonl, read_text, replace_text)
 
 
 class TestSimpleSchema:
@@ -349,10 +352,10 @@ class TestThinkStrip:
 class TestReaders:
     def test_lines_and_text_of_a_utf8_file(self, tmp_path):
         path = tmp_path / "f.txt"
-        path.write_bytes("caf\u00e9\r\nit\u2019s\n\nend".encode())
-        assert list(read_lines(path)) == [(1, "caf\u00e9\n"), (2, "it\u2019s\n"), (3, "\n"),
-                                          (4, "end")]
-        assert read_text(path) == "caf\u00e9\nit\u2019s\n\nend"
+        path.write_bytes('"caf\u00e9"\r\n"it\u2019s"\n\n \u00a0\n [1] \n{}'.encode())
+        assert list(read_jsonl(path)) == [(1, "caf\u00e9"), (2, "it\u2019s"), (5, [1]),
+                                          (6, {})]
+        assert read_text(path) == '"caf\u00e9"\n"it\u2019s"\n\n \u00a0\n [1] \n{}'
 
     @pytest.mark.parametrize("bad,reason", [(b"\xff", "invalid start byte"),
                                             (b"\xe2\x80", "unexpected end of data")])
@@ -364,7 +367,49 @@ class TestReaders:
         path.write_bytes(head + b'{"n": ' + bad)
         message = (f"{path}: line 2001 is not UTF-8 "
                    f"({reason} at offset {len(head) + 6})")
-        for read in (read_text, lambda p: list(read_lines(p))):
+        for read in (read_text, read_json, lambda p: list(read_jsonl(p))):
             with pytest.raises(DataError) as raised:
                 read(path)
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("line,reason", [
+        ('{"a": 1} x', "Extra data"), ('{"a": 1}{"b": 2}', "Extra data"),
+        ('{"a": 1', "Expecting ',' delimiter"), ("\ufeff{}", "Unexpected UTF-8 BOM"),
+        ("\x00", "Expecting value")])
+    def test_a_line_that_is_not_one_value_is_named_by_path_and_line(self, tmp_path,
+                                                                     line, reason):
+        path = tmp_path / "f.jsonl"
+        path.write_text(f"{{}}\n\n{line}\n[]\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            list(read_jsonl(path, "; a hint"))
+        assert str(raised.value).startswith(f"{path}: line 3 is not JSON ({reason}")
+        assert str(raised.value).endswith("); a hint")
+
+    def test_a_json_file_that_is_not_one_value_is_named_by_path_and_line(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{\n  "a": 1,\n}', encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            read_json(path)
+        assert str(raised.value) == (f"{path}: line 3 is not JSON "
+                                     "(Expecting property name enclosed in double quotes)")
+        path.write_text('{\n  "a": [1]\n}\n', encoding="utf-8")
+        assert read_json(path) == {"a": [1]}
+
+    @pytest.mark.parametrize("fail", ["write", "rename"])
+    def test_a_failed_replace_names_the_target_and_leaves_no_temp_file(self, tmp_path,
+                                                                       monkeypatch, fail):
+        target = tmp_path / "out.csv"
+        target.write_text("before", encoding="utf-8")
+        if fail == "write":
+            target = tmp_path / "nodir" / "out.csv"
+        else:
+            def rename(self, to):
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), str(self))
+            monkeypatch.setattr(Path, "replace", rename)
+        with pytest.raises(OSError) as raised:
+            replace_text(target, "after")
+        expected = errno.ENOENT if fail == "write" else errno.EXDEV
+        assert raised.value.errno == expected and raised.value.filename == str(target)
+        assert str(raised.value) == f"[Errno {expected}] {os.strerror(expected)}: '{target}'"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out.csv"]
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "before"

@@ -447,8 +447,11 @@ class TestLoadRecordsEdgeCases:
     @pytest.mark.parametrize("load", [load_records, load_predictions])
     def test_malformed_line_names_its_number(self, tmp_path, load, bad):
         run_dir = self.write(tmp_path, f"{self.A}\n\n{bad}\n{self.B}\n")
-        with pytest.raises(DataError, match="line 3 is not a JSON record"):
+        with pytest.raises(DataError) as raised:
             load(run_dir)
+        message = str(raised.value)
+        assert message.startswith(f"{run_dir / 'records.jsonl'}: line 3 is not JSON (")
+        assert message.endswith("); if the run was interrupted, resuming it repairs the file")
 
     @pytest.mark.parametrize("load", [load_records, load_predictions])
     def test_leading_and_trailing_whitespace_load(self, tmp_path, load):

@@ -1,8 +1,10 @@
 """Only delib.parsing decodes a file: every other module under src/delib
-reads text through parsing.read_text or parsing.read_lines, so one rule
-turns a byte that is not UTF-8 into a DataError naming the file and line.
+reads text through parsing.read_text, and JSON through parsing.read_json or
+parsing.read_jsonl, so one rule turns a byte that is not UTF-8, or text that
+is not JSON, into a DataError naming the file and line.
 A read is a `.read_text(...)` method call or an `open` in read mode ("r",
 "r+" or no mode); binary opens and opens to write or append are allowed.
+A JSON decode is a call of json.loads or json.load, or an import of either.
 The modules call the shared readers by their bare names."""
 import ast
 from pathlib import Path
@@ -36,6 +38,20 @@ def text_reads(source: str) -> list[int]:
     return lines
 
 
+def json_decodes(source: str) -> list[int]:
+    """The line of each json.loads or json.load call, or import of either."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if (node.func.attr in ("loads", "load") and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "json"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name in ("loads", "load") for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_only_parsing_reads_a_file_as_text():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 10
@@ -58,3 +74,29 @@ p.open(m)
 read_text(p)
 '''
     assert text_reads(source) == [2, 3, 4, 5, 6, 10]
+
+
+def test_only_parsing_decodes_json():
+    decodes = {path.stem: json_decodes(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "parsing.py"}
+    assert {name: lines for name, lines in decodes.items() if lines} == {}
+
+
+def test_the_json_decodes_it_finds():
+    source = '''
+json.loads(text)
+json.load(fh)
+from json import loads
+json.dumps(value)
+resp.json()
+obj.loads(text)
+from json import dumps
+'''
+    assert json_decodes(source) == [2, 3, 4]
+
+
+def test_the_jsonl_readers_are_one():
+    """read_jsonl replaced read_lines and loads_line, which no module keeps."""
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        assert "read_lines" not in source and "loads_line" not in source, path.name
