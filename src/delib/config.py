@@ -32,31 +32,43 @@ def load_settings(path: str | Path | None) -> Settings:
         return Settings()
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{path}: config file not found")
     try:
-        doc = yaml.safe_load(read_text(path)) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid config file: {exc}") from exc
+        doc = yaml.safe_load(text := read_text(path)) or {}
+    except yaml.MarkedYAMLError as exc:
+        line = exc.problem_mark.line + 1
+        raise ConfigError(f"{path}: line {line} is not YAML ({exc.problem})") from exc
+    except yaml.reader.ReaderError as exc:  # a character YAML forbids, such as NUL
+        line = text.count("\n", 0, exc.position) + 1
+        raise ConfigError(f"{path}: line {line} is not YAML ({exc.reason})") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
+        raise ConfigError(f"{path}: config root must be a mapping")
     settings = Settings(backends=doc.get("backends", {}) or {})
+    _known(doc, f"{path}: ", vars(settings))  # the root's keys are the fields of Settings
     if not isinstance(settings.backends, dict):
-        raise ConfigError("config key backends must be a mapping of backend names")
+        raise ConfigError(f"{path}: config key backends must be a mapping of backend names")
     base = path.parent.resolve()
     for key in ("template_dir", "lexicon_dir", "cache_dir", "runs_dir", "reports_dir"):
         value = doc.get(key)
         if value is not None and not isinstance(value, str):
-            raise ConfigError(f"config key {key} must be a path, got {value!r}")
+            raise ConfigError(f"{path}: config key {key} must be a path, got {value!r}")
         value = getattr(settings, key) if value is None else Path(value)
         # base / an absolute path is that path
         setattr(settings, key, None if value is None else base / value)
     return settings
 
 
-#: The keys of a backend definition that set Limits (under `limits:`) and
-#: DecodingParams, each with the conversion its value goes through.
+#: The keys of a backend definition that are strings, and those that set
+#: Limits (under `limits:`) and DecodingParams, each with its conversion.
+_STRING_KEYS = ("endpoint", "model", "auth_env", "response_format_hint")
 _LIMIT_KEYS = {"max_in_flight": int, "retry_budget": int, "requests_per_minute": None}
 _DECODING_KEYS = {"temperature": float, "max_output_tokens": int, "response_format_hint": None}
+
+
+def _known(spec: dict, where: str, *tables) -> None:
+    """A ConfigError naming the first key of spec that none of tables holds."""
+    for key in (key for key in spec if all(key not in table for table in tables)):
+        raise ConfigError(f"{where}{key} is not a known key")
 
 
 def _values(spec: dict, converters: dict, where: str = "") -> dict:
@@ -112,7 +124,9 @@ def _backend(name: str, spec, cache: ResponseCache) -> ChatBackend:
     limits = spec.get("limits") or {}
     if not isinstance(limits, dict):
         raise ConfigError("limits must be a mapping")
-    for key in ("endpoint", "model", "auth_env", "response_format_hint"):
+    _known(spec, "", ("type", "limits", "rules", "default_response"), _STRING_KEYS, _DECODING_KEYS)
+    _known(limits, "limits.", _LIMIT_KEYS)
+    for key in _STRING_KEYS:
         if spec.get(key) is not None and not isinstance(spec[key], str):
             raise ConfigError(f"{key} must be a string, got {spec[key]!r}")
     if spec.get("response_format_hint") == "":
@@ -130,6 +144,7 @@ def _backend(name: str, spec, cache: ResponseCache) -> ChatBackend:
         for i, rule in enumerate(rules):
             if not isinstance(rule, dict) or not isinstance(rule.get("pattern"), str):
                 raise ConfigError(f"rules[{i}] needs a string pattern")
+            _known(rule, f"rules[{i}].", ("pattern", "response"))
             response = _response(rule.get("response"), f"rules[{i}].response")
             try:
                 mock_rules.append(MockRule(pattern=rule["pattern"], response=response))

@@ -92,29 +92,31 @@ def sentence_id(batch: str, text: str) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _coerce_label(value, row_no: int) -> int:
+def _coerce_label(value) -> int:
     if isinstance(value, bool):
         return int(value)
-    if isinstance(value, int) and value in (0, 1):
-        return value
     if isinstance(value, str) and value.strip() in ("0", "1"):
         return int(value.strip())
-    raise DataError(f"row {row_no}: label {value!r} is not binary")
+    raise ValueError(f"label {value!r} is not binary")
 
 
-def _build_sentences(rows: Iterable[tuple[int, object, object, object]]) -> list[Sentence]:
+def _build_sentences(path: Path, rows: Iterable[tuple[int, object, object, object]]) -> list[Sentence]:
+    """The sentences of (line, batch, text, label) rows; a missing field is None."""
     sentences: list[Sentence] = []
     occurrences: dict[str, int] = {}
-    for row_no, batch, text, label in rows:
-        if not isinstance(text, str) or not text.strip():
-            raise DataError(f"row {row_no}: missing or empty text")
-        if type(batch) is str:
-            batch = batch.strip()
-        elif batch:
-            batch = str(batch).strip()
-        if not batch:
-            raise DataError(f"row {row_no}: missing batch code")
-        gold = label if type(label) is int and 0 <= label <= 1 else _coerce_label(label, row_no)
+    for line, batch, text, label in rows:
+        try:
+            if not isinstance(text, str) or not text.strip():
+                raise ValueError("missing or empty text")
+            if type(batch) is str:
+                batch = batch.strip()
+            elif batch:
+                batch = str(batch).strip()
+            if not batch:
+                raise ValueError("missing batch code")
+            gold = label if type(label) is int and 0 <= label <= 1 else _coerce_label(label)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line}: {exc}") from None
         sid = sentence_id(batch, text)
         # Duplicate (batch, text) pairs stay distinct records: suffix an
         # occurrence counter so repeated gold annotations keep their weight.
@@ -129,50 +131,47 @@ def _build_sentences(rows: Iterable[tuple[int, object, object, object]]) -> list
 
 
 def _iter_jsonl(path: Path):
-    for row_no, obj in read_jsonl(path):
-        if type(obj) is not dict:
-            raise DataError(f"row {row_no}: expected an object")
+    for line, obj in read_jsonl(path):
         try:
-            batch, text, label = obj["batch"], obj["text"], obj["label"]
-        except KeyError:
-            raise DataError(f"row {row_no}: missing one of text/batch/label") from None
-        yield row_no, batch, text, label
+            yield line, obj["batch"], obj["text"], obj["label"]
+        except (KeyError, TypeError):  # a missing key, or not an object: the row checks name it
+            yield line, *map((obj if type(obj) is dict else {}).get, ("batch", "text", "label"))
 
 
-def _resolve_columns(header: Sequence[str]) -> dict[str, int]:
+def _resolve_columns(path: Path, line: int, header: Sequence[str]) -> list[int]:
     lowered = [h.strip().lower() for h in header]
-    resolved = {}
+    resolved = []
     for key, names in DEFAULT_COLUMN_ALIASES.items():
         for name in names:
             if name in lowered:
-                resolved[key] = lowered.index(name)
+                resolved.append(lowered.index(name))
                 break
         else:
-            raise DataError(f"header {header!r} has no column for {key!r}")
+            raise DataError(f"{path}: line {line}: header {header!r} has no column for {key!r}")
     return resolved
 
 
 def _iter_table(path: Path, delimiter: str | None):
     raw = read_text(path).removeprefix("\ufeff")  # a byte-order mark, as spreadsheets export
     if not raw.strip():
-        raise DataError("no records: empty input")
+        raise DataError(f"{path}: empty input")
     if delimiter is None:
         try:
             delimiter = csv.Sniffer().sniff(raw[:4096], delimiters=",\t;").delimiter
         except csv.Error:
             delimiter = ","
     reader = csv.reader(io.StringIO(raw), delimiter=delimiter)
-    rows = enumerate(reader, start=1)
     try:
-        header = next((row for _, row in rows if any(c.strip() for c in row)), [])
-        cols = _resolve_columns(header)
-        for row_no, row in rows:
-            if not any(c.strip() for c in row):
-                continue
-            try:
-                yield row_no, row[cols["batch"]], row[cols["text"]], row[cols["label"]]
-            except IndexError:
-                raise DataError(f"row {row_no}: too few columns") from None
+        header = next((row for row in reader if any(c.strip() for c in row)), [])
+        text_at, batch_at, label_at = _resolve_columns(path, reader.line_num, header)
+        line = reader.line_num + 1  # the line the next row starts on
+        for row in reader:
+            if any(c.strip() for c in row):
+                try:
+                    yield line, row[batch_at], row[text_at], row[label_at]
+                except IndexError:  # a short row: the row checks name its first missing field
+                    yield line, *map(dict(enumerate(row)).get, (batch_at, text_at, label_at))
+            line = reader.line_num + 1
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         raise DataError(f"{path}: line {reader.line_num} is not CSV ({exc})") from exc
 
@@ -180,21 +179,21 @@ def _iter_table(path: Path, delimiter: str | None):
 def parse_dataset(source: str | Path, format: str = "jsonl") -> Corpus:
     """Load a corpus from JSONL or a delimited table.
 
-    Malformed rows raise DataError with the offending row number; nothing
-    is silently dropped.
+    A malformed row raises DataError naming the file and the line the row
+    starts on; nothing is silently dropped.
     """
     path = Path(source)
     if not path.is_file():
-        raise DataError(f"unreadable source: {path}")
+        raise DataError(f"{path}: unreadable source")
     if format == "jsonl":
         rows = _iter_jsonl(path)
     elif format in ("csv", "tsv"):
         rows = _iter_table(path, "\t" if format == "tsv" else None)
     else:
         raise DataError(f"unknown ingest format: {format!r}")
-    sentences = _build_sentences(rows)
+    sentences = _build_sentences(path, rows)
     if not sentences:
-        raise DataError("no records")
+        raise DataError(f"{path}: no records")
     return Corpus(sentences=sentences)
 
 

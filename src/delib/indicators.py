@@ -83,12 +83,12 @@ def regular_forms(lemma: str) -> dict[str, str]:
     return forms
 
 
-def _read_wordlist(path: Path) -> list[str]:
-    words = []
-    for line in read_text(path).splitlines():
+def _read_wordlist(path: Path) -> dict[int, str]:
+    words = {}  # line number (from 1) -> entry, for each line not blank or a comment
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip().lower()
         if line:
-            words.append(line)
+            words[line_no] = line
     return words
 
 
@@ -122,22 +122,23 @@ def load_lexicons(directory: str | Path | None = None) -> Lexicons:
     if not base.is_dir():
         raise ConfigError(f"lexicon directory not found: {base}")
 
-    def read(name: str) -> list[str]:
+    def find(name: str) -> Path:
         path = base / f"{name}.txt"
         if not path.is_file():
             path = _BUNDLED / f"{name}.txt"
         if not path.is_file():
             raise ConfigError(f"missing lexicon file: {name}.txt")
-        return _read_wordlist(path)
+        return path
 
-    words = {name: read(name) for name in _LEXICON_FILES}
+    words = {name: [*_read_wordlist(find(name)).values()] for name in _LEXICON_FILES}
     inflections: dict[str, str] = {}
     tense: dict[str, str] = {}
     irregular_lemmas: set[str] = set()
-    for line in read("irregular"):
+    path = find("irregular")
+    for line_no, line in _read_wordlist(path).items():
         parts = line.split()
         if len(parts) != 3 or parts[2] not in ("pres", "past"):
-            raise ConfigError(f"irregular.txt: bad line {line!r}")
+            raise ConfigError(f"{path}: line {line_no}: {line!r} is not '<form> <lemma> pres|past'")
         form, lemma, tag = parts
         inflections[form] = lemma
         tense[form] = tag

@@ -643,10 +643,46 @@ _BYTE_DAMAGE_CODES = {("corpus", "invalid byte"): 4, ("corpus", "cut inside a ch
                       ("config", "cut inside a character"): 4, ("config", "NUL byte"): 2}
 
 
-@given(target=st.sampled_from(sorted(_DAMAGE_CODES)),
-       damage=st.sampled_from(["truncate", "drop a key", "wrong type", "non-object",
-                               "invalid byte", "NUL byte", "cut inside a character"]),
-       data=st.data())
+_DAMAGES = st.sampled_from(["truncate", "drop a key", "wrong type", "non-object",
+                            "invalid byte", "NUL byte", "cut inside a character"])
+
+
+def damage_file(path, damage, data):
+    """Write path back with one damage, as text or as bytes: a JSONL file's
+    drawn line, or another file's whole document (a config as YAML)."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if damage == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif damage in ("drop a key", "wrong type", "non-object"):
+        obj = (yaml.safe_load if path.suffix == ".yaml" else json.loads)(lines[i])
+        if damage == "non-object":
+            obj = data.draw(st.sampled_from(_JSON_VALUES))
+        else:
+            key = data.draw(st.sampled_from(sorted(obj)))
+            if damage == "drop a key":
+                del obj[key]
+            else:
+                obj[key] = data.draw(st.sampled_from(_JSON_VALUES))
+        # JSON is YAML too
+        lines[i] = json.dumps(obj) + ("\n" if lines[i].endswith("\n") else "")
+        text = "".join(lines)
+    if damage == "cut inside a character" and "\u00e9" not in text:
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + "\u00e9" + text[at:]
+    raw = text.encode("utf-8")
+    if damage in ("invalid byte", "NUL byte"):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + (b"\xff" if damage == "invalid byte" else b"\x00") + raw[at:]
+    elif damage == "cut inside a character":
+        # just after the first byte of a multi-byte character
+        raw = raw[:data.draw(st.sampled_from(
+            [at + 1 for at, byte in enumerate(raw) if byte >= 0xc0]))]
+    path.write_bytes(raw)
+
+
+@given(target=st.sampled_from(sorted(_DAMAGE_CODES)), damage=_DAMAGES, data=st.data())
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage, data):
@@ -665,36 +701,7 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
         else:
             path = {"records": run_dir / "records.jsonl", "manifest": run_dir / "manifest.json",
                     "corpus": corpus, "config": config}[target]
-        text = path.read_text(encoding="utf-8")
-        lines = text.splitlines(keepends=True) if path.suffix == ".jsonl" else [text]
-        i = data.draw(st.integers(0, len(lines) - 1))
-        if damage == "truncate":
-            text = text[:data.draw(st.integers(0, len(text) - 1))]
-        elif damage in ("drop a key", "wrong type", "non-object"):
-            obj = (yaml.safe_load if target == "config" else json.loads)(lines[i])
-            if damage == "non-object":
-                obj = data.draw(st.sampled_from(_JSON_VALUES))
-            else:
-                key = data.draw(st.sampled_from(sorted(obj)))
-                if damage == "drop a key":
-                    del obj[key]
-                else:
-                    obj[key] = data.draw(st.sampled_from(_JSON_VALUES))
-            # JSON is YAML too
-            lines[i] = json.dumps(obj) + ("\n" if lines[i].endswith("\n") else "")
-            text = "".join(lines)
-        if damage == "cut inside a character" and "\u00e9" not in text:
-            at = data.draw(st.integers(0, len(text)))
-            text = text[:at] + "\u00e9" + text[at:]
-        raw = text.encode("utf-8")
-        if damage in ("invalid byte", "NUL byte"):
-            at = data.draw(st.integers(0, len(raw)))
-            raw = raw[:at] + (b"\xff" if damage == "invalid byte" else b"\x00") + raw[at:]
-        elif damage == "cut inside a character":
-            # just after the first byte of a multi-byte character
-            raw = raw[:data.draw(st.sampled_from(
-                [at + 1 for at, byte in enumerate(raw) if byte >= 0xc0]))]
-        path.write_bytes(raw)
+        damage_file(path, damage, data)
 
         fresh = root / "fresh.yaml"
         fresh.write_bytes(config.read_bytes().replace(b"runs_dir: runs", b"runs_dir: fresh"))
@@ -710,6 +717,27 @@ def test_damaged_artifacts_exit_with_a_code(finished_run, capsys, target, damage
         assert set(codes) <= set(_DAMAGE_CODES[target]), codes
         if (target, damage) in _BYTE_DAMAGE_CODES:
             assert set(codes) == {_BYTE_DAMAGE_CODES[target, damage]}, codes
+
+
+@given(target=st.sampled_from(["corpus", "config"]), damage=_DAMAGES, data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_damaged_corpus_or_config_is_named_first(capsys, target, damage, data):
+    """`ingest` of a damaged corpus and `stats` of a good corpus under a
+    damaged `--config` exit with a code the damage may give, and any exit
+    but 0 prints `error: <the damaged file's path>` first."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root, config, corpus = make_workspace(Path(scratch))
+        path = {"corpus": corpus, "config": config}[target]
+        damage_file(path, damage, data)
+        capsys.readouterr()
+        if target == "corpus":
+            code = invoke(config, "ingest", "--input", corpus, "--out", root / "out.jsonl")
+        else:
+            code = invoke(config, "stats", "--corpus", corpus)
+        err = capsys.readouterr().err
+        assert code in _DAMAGE_CODES[target], (code, err)
+        assert code == 0 or err.startswith(f"error: {path}"), err
 
 
 def _override(root, key, bundled_file):
@@ -911,12 +939,19 @@ def _top(**changes):
     (_limit(requests_per_minute=float("nan")), ["'echo'", "requests_per_minute"]),
     (_echo(response_format_hint=[1, 2]), ["'echo'", "response_format_hint"]),
     (_echo(response_format_hint=""), ["'echo'", "response_format_hint"]),
+    # a misspelt key would otherwise be dropped and its default used
+    (_top(run_dir="elsewhere"), ["config.yaml: run_dir is not a known key"]),
+    (_echo(tempreature=0.7), ["backend 'echo': tempreature is not a known key"]),
+    (_limit(max_inflight=9), ["backend 'echo': limits.max_inflight is not a known key"]),
+    (_echo(rules=[{"pattern": ".", "respnse": "x"}]),
+     ["backend 'echo': rules[0].respnse is not a known key"]),
 ], ids=["rpm '60'", "rpm 0", "rpm -1", "max_in_flight many", "temperature hot",
         "backends a list", "limits a list", "rules a mapping", "rule without pattern", "rule pattern not a regex",
         "runs_dir 5", "temperature yes", "max_in_flight true", "retry_budget false",
         "rpm true", "max_in_flight 2.7", "max_output_tokens 12.9", "max_in_flight inf",
         "temperature nan", "temperature inf", "temperature -1", "max_output_tokens 0",
-        "max_output_tokens -5", "type mokc", "rpm nan", "hint a list", "hint empty"])
+        "max_output_tokens -5", "type mokc", "rpm nan", "hint a list", "hint empty",
+        "unknown root key", "unknown backend key", "unknown limits key", "unknown rule key"])
 def test_a_malformed_config_value_exits_2(tmp_path, capsys, change, names):
     doc = valid_config()
     change(doc)
@@ -993,16 +1028,44 @@ class TestConfig:
             build_backend(settings, "remote")
 
     def test_invalid_yaml(self, tmp_path):
+        """The line is YAML's own mark of the problem: here, the stream's end."""
         config = tmp_path / "c.yaml"
         config.write_text("backends: [unclosed\n")
-        with pytest.raises(ConfigError, match="invalid config"):
+        with pytest.raises(ConfigError) as raised:
             load_settings(config)
+        assert str(raised.value) == (f"{config}: line 2 is not YAML "
+                                     "(expected ',' or ']', but got '<stream end>')")
+
+    @pytest.mark.parametrize("text,message", [
+        ("cache_dir: cache\nruns_dir: a: b\n", "line 2 is not YAML (mapping values are not "
+                                                "allowed here)"),
+        ("cache_dir: cache\r\nruns_dir: \x00\r\n", "line 2 is not YAML (special characters "
+                                                    "are not allowed)"),
+    ], ids=["syntax", "NUL"])
+    def test_text_that_is_not_yaml_names_the_file_and_line(self, tmp_path, text, message):
+        config = tmp_path / "c.yaml"
+        config.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ConfigError) as raised:
+            load_settings(config)
+        assert str(raised.value) == f"{config}: {message}"
 
     def test_non_mapping_root(self, tmp_path):
         config = tmp_path / "c.yaml"
         config.write_text("- a\n- b\n")
-        with pytest.raises(ConfigError, match="mapping"):
+        with pytest.raises(ConfigError) as raised:
             load_settings(config)
+        assert str(raised.value) == f"{config}: config root must be a mapping"
+
+    @pytest.mark.parametrize("text,message", [
+        ("backends: [a]\n", "config key backends must be a mapping of backend names"),
+        ("runs_dir: [a]\n", "config key runs_dir must be a path, got ['a']"),
+    ], ids=["backends", "directory"])
+    def test_a_config_of_the_wrong_shape_names_the_file(self, tmp_path, text, message):
+        config = tmp_path / "c.yaml"
+        config.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as raised:
+            load_settings(config)
+        assert str(raised.value) == f"{config}: {message}"
 
     def test_http_backend_built_from_config(self, tmp_path, monkeypatch):
         config = tmp_path / "c.yaml"

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import re
 import unicodedata
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delib.corpus import (Corpus, Sentence, _normalize_for_id, corpus_stats, filter_batches,
-                          parse_dataset, save_jsonl, sentence_id, stats_csv, stats_table)
+from delib.corpus import (DEFAULT_COLUMN_ALIASES, Corpus, Sentence, _normalize_for_id,
+                          corpus_stats, filter_batches, parse_dataset, save_jsonl, sentence_id,
+                          stats_csv, stats_table)
 from delib.errors import DataError
 
 from conftest import FULL_SHAPE, KEPT_BATCHES, TOTAL_KEPT, build_corpus
@@ -105,27 +107,29 @@ class TestSentenceIdContract:
         assert differing == []
 
 
-def reference_coerce_label(value, row_no: int) -> int:
+def reference_coerce_label(value, where: str) -> int:
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, int) and value in (0, 1):
         return value
     if isinstance(value, str) and value.strip() in ("0", "1"):
         return int(value.strip())
-    raise DataError(f"row {row_no}: label {value!r} is not binary")
+    raise DataError(f"{where}: label {value!r} is not binary")
 
 
-def reference_build_sentences(rows) -> list[Sentence]:
-    """The row checks and ids of JSONL and table ingest, as first written."""
+def reference_build_sentences(path, rows) -> list[Sentence]:
+    """The row checks and ids of JSONL and table ingest, as first written,
+    each fault worded as "<path>: line <n>: <reason>"."""
     sentences = []
     occurrences = {}
-    for row_no, batch, text, label in rows:
+    for line_no, batch, text, label in rows:
+        where = f"{path}: line {line_no}"
         if not isinstance(text, str) or not text.strip():
-            raise DataError(f"row {row_no}: missing or empty text")
+            raise DataError(f"{where}: missing or empty text")
         if not batch or not str(batch).strip():
-            raise DataError(f"row {row_no}: missing batch code")
+            raise DataError(f"{where}: missing batch code")
         batch = str(batch).strip()
-        gold = reference_coerce_label(label, row_no)
+        gold = reference_coerce_label(label, where)
         base_id = reference_sentence_id(batch, text)
         n = occurrences.get(base_id, 0)
         occurrences[base_id] = n + 1
@@ -135,7 +139,8 @@ def reference_build_sentences(rows) -> list[Sentence]:
 
 
 def reference_iter_jsonl(path):
-    """JSONL rows through json.loads, as first written."""
+    """JSONL rows through json.loads, as first written; a field that a line
+    lacks, or a line that is not an object, gives None."""
     with path.open("r", encoding="utf-8") as fh:
         for row_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -144,18 +149,74 @@ def reference_iter_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {row_no} is not JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"row {row_no}: expected an object")
-            if "text" not in obj or "batch" not in obj or "label" not in obj:
-                raise DataError(f"row {row_no}: missing one of text/batch/label")
-            yield row_no, obj["batch"], obj["text"], obj["label"]
+            fields = [obj[key] if isinstance(obj, dict) and key in obj else None
+                      for key in ("batch", "text", "label")]
+            yield row_no, *fields
+
+
+def reference_parse(path, rows) -> Corpus:
+    sentences = reference_build_sentences(path, rows)
+    if not sentences:
+        raise DataError(f"{path}: no records")
+    return Corpus(sentences=sentences)
 
 
 def reference_parse_jsonl(path) -> Corpus:
-    sentences = reference_build_sentences(reference_iter_jsonl(path))
-    if not sentences:
-        raise DataError("no records")
-    return Corpus(sentences=sentences)
+    return reference_parse(path, reference_iter_jsonl(path))
+
+
+def reference_iter_table(path, delimiter):
+    """Table rows through csv.reader fed the file's lines one at a time, each
+    row numbered by the lines fed before it; a field a short row lacks gives None."""
+    text = path.read_text(encoding="utf-8")
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    if not text.strip():
+        raise DataError(f"{path}: empty input")
+    if delimiter is None:
+        try:
+            delimiter = csv.Sniffer().sniff(text[:4096], delimiters=",\t;").delimiter
+        except csv.Error:
+            delimiter = ","
+    pieces = text.split("\n")
+    lines = [piece + "\n" for piece in pieces[:-1]] + [piece for piece in pieces[-1:] if piece]
+    fed = 0
+
+    def feed():
+        nonlocal fed
+        for line in lines:
+            fed += 1
+            yield line
+
+    reader = csv.reader(feed(), delimiter=delimiter)
+    columns = None
+    while True:
+        start = fed + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {fed} is not CSV ({exc})") from exc
+        if not any(cell.strip() for cell in row):
+            continue
+        if columns is None:
+            names = [cell.strip().lower() for cell in row]
+            columns = {}
+            for key, aliases in DEFAULT_COLUMN_ALIASES.items():
+                found = [names.index(name) for name in aliases if name in names]
+                if not found:
+                    raise DataError(f"{path}: line {fed}: header {row!r} has no column for {key!r}")
+                columns[key] = found[0]
+            continue
+        yield start, *(row[columns[key]] if columns[key] < len(row) else None
+                       for key in ("batch", "text", "label"))
+    if columns is None:  # no row that is not blank: a header without columns
+        raise DataError(f"{path}: line {fed}: header [] has no column for 'text'")
+
+
+def reference_parse_table(path, fmt) -> Corpus:
+    return reference_parse(path, reference_iter_table(path, "\t" if fmt == "tsv" else None))
 
 
 def ingest_outcome(parse, path):
@@ -212,6 +273,51 @@ def jsonl_lines(draw):
             + draw(st.sampled_from(["", "", " ", "\t", " \r"])))
 
 
+_TABLE_TEXTS = _mostly(st.one_of(_GOOD_TEXTS, st.sampled_from(
+    ["two\nlines", "x\n\ny", "end\r\nof line", "a, b; c\td", 'say "hi"'])),
+    st.sampled_from(["", " ", "\u3000"]))
+_TABLE_BATCHES = st.sampled_from(["K1", "K2", " K1 ", "\u00a0R4\t", "b\u0301", "K\n2"])
+_TABLE_LABELS = st.sampled_from(["0", "1", " 0 ", "\t1\u3000"])
+_BAD_TABLE_LABELS = st.sampled_from(["2", "-1", "1.0", "yes", "", "01", "True"])
+
+
+@st.composite
+def tables(draw):
+    """(format, file text) of a CSV or TSV: an optional byte-order mark, blank
+    lines before the header and between rows, header aliases in any case and
+    order (now and then one column short), fields quoted across lines, short
+    rows and bad labels."""
+    fmt = draw(st.sampled_from(["csv", "tsv"]))
+    delimiter = "\t" if fmt == "tsv" else draw(st.sampled_from([",", ",", ";"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    keys = draw(st.permutations(["text", "batch", "label", "note"]))
+    if draw(st.integers(0, 19)) == 0:
+        keys.remove(draw(st.sampled_from(["text", "batch", "label"])))
+    names = [draw(st.sampled_from(DEFAULT_COLUMN_ALIASES.get(key, ("note",)))) for key in keys]
+    header = [draw(st.sampled_from([name, name.upper(), f" {name.title()} "])) for name in names]
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=newline)
+    blank = st.sampled_from(["", " ", "\t", delimiter * 2])
+    for line in draw(st.lists(blank, max_size=2)):
+        out.write(line + newline)
+    writer.writerow(header)
+    values = {"text": _TABLE_TEXTS, "batch": _mostly(_TABLE_BATCHES, st.sampled_from(["", " "])),
+              "label": _mostly(_TABLE_LABELS, _BAD_TABLE_LABELS), "note": st.just("n")}
+    kinds = st.sampled_from(["row"] * 12 + ["blank", "blank", "short"])
+    for kind in draw(st.lists(kinds, max_size=8)):
+        if kind == "blank":
+            out.write(draw(blank) + newline)
+            continue
+        row = [draw(values[key]) for key in keys]
+        if kind == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        writer.writerow(row)
+    text = out.getvalue()
+    if not draw(st.booleans()):
+        text = text.removesuffix(newline)
+    return fmt, ("\ufeff" if draw(st.booleans()) else "") + text
+
+
 class TestIngestEquivalence:
     @given(lines=st.lists(jsonl_lines(), max_size=8), newline=st.sampled_from(["\n", "\r\n"]),
            last_newline=st.booleans())
@@ -224,6 +330,17 @@ class TestIngestEquivalence:
                          .encode("utf-8"))
         assert (ingest_outcome(parse_dataset, path)
                 == ingest_outcome(reference_parse_jsonl, path))
+
+    @given(table=tables())
+    @settings(deadline=None)
+    def test_table_matches_reference(self, tmp_path_factory, table):
+        """Every CSV or TSV gives the reference's sentences and digest, or its
+        DataError message, each fault naming the line its row starts on."""
+        fmt, text = table
+        path = tmp_path_factory.getbasetemp() / f"generated.{fmt}"
+        path.write_bytes(text.encode("utf-8"))
+        assert (ingest_outcome(lambda p: parse_dataset(p, format=fmt), path)
+                == ingest_outcome(lambda p: reference_parse_table(p, fmt), path))
 
     def test_generated_grid_corpus_matches_reference(self, full_corpus_jsonl):
         assert (ingest_outcome(parse_dataset, full_corpus_jsonl)
@@ -260,15 +377,16 @@ class TestParseDataset:
             parse_dataset(path)
 
     @pytest.mark.parametrize("fmt,text,message", [
-        ("csv", "", "no records: empty input"),
+        ("csv", "", "empty input"),
         ("csv", "sentence,batch,label\n", "no records"),
-        ("tsv", "text\tbatch\tlabel\na b\tK1\t1\nc d\tK2\n", "row 3: too few columns"),
+        ("tsv", "text\tbatch\tlabel\na b\tK1\t1\nc d\tK2\n", "line 3: label None is not binary"),
     ], ids=["empty", "header only", "short row"])
     def test_table_without_whole_records_errors(self, tmp_path, fmt, text, message):
         path = tmp_path / f"c.{fmt}"
         path.write_text(text)
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError) as raised:
             parse_dataset(path, format=fmt)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_missing_source(self, tmp_path):
         with pytest.raises(DataError, match="unreadable"):
@@ -296,8 +414,31 @@ class TestParseDataset:
     def test_empty_text(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"batch":"K1","text":"  ","label":0}\n')
-        with pytest.raises(DataError, match="row 1"):
+        with pytest.raises(DataError) as raised:
             parse_dataset(path)
+        assert str(raised.value) == f"{path}: line 1: missing or empty text"
+
+    def test_a_jsonl_line_that_is_not_an_object_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"batch":"K1","text":"ok","label":1}\n[1]\n', encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            parse_dataset(path)
+        assert str(raised.value) == f"{path}: line 2: missing or empty text"
+
+    def test_a_row_after_a_multi_line_field_is_named_by_the_line_it_starts_on(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text('sentence,batch,label\n"two\nlines",K1,1\nshort\n', encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            parse_dataset(path, format="csv")
+        assert str(raised.value) == f"{path}: line 4: missing batch code"
+
+    def test_a_header_without_a_column_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("\ntext,batch\nhi,K1\n", encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            parse_dataset(path, format="csv")
+        assert str(raised.value) == (f"{path}: line 2: header ['text', 'batch'] has no "
+                                     "column for 'label'")
 
     def test_csv_with_aliases(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -307,13 +448,14 @@ class TestParseDataset:
         assert [s.gold_label for s in corpus.sentences] == [1, 0]
 
     def test_blank_lines_before_the_header_are_skipped(self, tmp_path):
-        """Row numbers still count from the file's first line."""
+        """Line numbers still count from the file's first line."""
         path = tmp_path / "c.csv"
         path.write_text("\nsentence,batch,label\nhello there,K1,1\n", encoding="utf-8")
         assert [s.text for s in parse_dataset(path, format="csv").sentences] == ["hello there"]
         path.write_text("\n \nsentence,batch,label\nhello there,K1,1\nbye\n", encoding="utf-8")
-        with pytest.raises(DataError, match="row 5: too few columns"):
+        with pytest.raises(DataError) as raised:
             parse_dataset(path, format="csv")
+        assert str(raised.value) == f"{path}: line 5: missing batch code"
 
     @pytest.mark.parametrize("fmt,sep", [("csv", ","), ("tsv", "\t")])
     def test_a_byte_order_mark_before_the_header_is_dropped(self, tmp_path, fmt, sep):

@@ -178,9 +178,27 @@ class TestLexiconLoading:
 
     @pytest.mark.parametrize("line", ["went go", "went go gone", "went go past extra"])
     def test_malformed_irregular_line(self, tmp_path, line):
+        """The fault names the override's path and the line."""
         (tmp_path / "irregular.txt").write_text(f"said say past\n{line}\n")
-        with pytest.raises(ConfigError, match=f"irregular.txt: bad line '{line}'"):
+        with pytest.raises(ConfigError) as raised:
             load_lexicons(tmp_path)
+        assert str(raised.value) == (f"{tmp_path / 'irregular.txt'}: line 2: '{line}' is not "
+                                     "'<form> <lemma> pres|past'")
+
+    def test_a_malformed_bundled_irregular_line_names_the_bundled_file(self, tmp_path,
+                                                                      monkeypatch):
+        """Comment and blank lines count: the fault names the line of the file."""
+        import delib.indicators
+        bundled = tmp_path / "bundled"
+        shutil.copytree(delib.indicators._BUNDLED, bundled)
+        with (bundled / "irregular.txt").open("a", encoding="utf-8") as fh:
+            fh.write("\n# a comment\nbroken line\n")
+        n = len((bundled / "irregular.txt").read_text(encoding="utf-8").splitlines())
+        monkeypatch.setattr(delib.indicators, "_BUNDLED", bundled)
+        with pytest.raises(ConfigError) as raised:
+            load_lexicons()
+        assert str(raised.value) == (f"{bundled / 'irregular.txt'}: line {n}: 'broken line' "
+                                     "is not '<form> <lemma> pres|past'")
 
     def test_missing_directory(self):
         with pytest.raises(ConfigError):
